@@ -54,7 +54,7 @@ class Augmentation:
         for v, arcs in enumerate(self.in_arcs):
             for t, rho in arcs:
                 out[t].append((v, rho))
-        return tuple(tuple(sorted(a)) for a in out)
+        return tuple([tuple(sorted(a)) for a in out])
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,15 @@ class IndegreeProfile:
 def indegree_profile(aug: Augmentation) -> IndegreeProfile:
     deg = []
     for rp in range(aug.r + 1):
-        deg.append(tuple(sum(1 for _, rho in arcs if rho <= rp)
-                         for arcs in aug.in_arcs))
-    delta = tuple(max(row) if row else 1 for row in deg)
+        deg.append(tuple([sum(1 for _, rho in arcs if rho <= rp)
+                          for arcs in aug.in_arcs]))
+    delta = tuple([max(row) if row else 1 for row in deg])
     return IndegreeProfile(aug.r, tuple(deg), delta)
 
 
 def _arcs_from_profile(profile: WeakReachProfile, r: int):
-    return tuple(tuple(sorted((u, d) for u, d in mr.items() if d <= r))
-                 for mr in profile.min_reach)
+    return tuple([tuple(sorted((u, d) for u, d in mr.items() if d <= r))
+                  for mr in profile.min_reach])
 
 
 def augmentation_from_profile(g: Graph, profile: WeakReachProfile,
@@ -114,7 +114,7 @@ def orientation_augmentation(g: Graph, orientation: Iterable[tuple[int, int]]) -
                if u < v and (u, v) not in seen]
     if missing:
         raise ValueError(f"orientation misses edges, e.g. {missing[0]}")
-    return Augmentation(g, 1, tuple(tuple(sorted(a)) for a in arcs))
+    return Augmentation(g, 1, tuple([tuple(sorted(a)) for a in arcs]))
 
 
 @dataclass(frozen=True)

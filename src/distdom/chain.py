@@ -105,8 +105,10 @@ class ChainReport:
 
     def inequalities(self) -> dict:
         eq_tol = 0 if self.exact_mode else FLOAT_TOL
+        # Delta_k = wcol_k holds vertex by vertex, so vacuously when n = 0,
+        # where wcol_k is 0 and Delta_k is floored at 1
         checks = {
-            "deltas_match": (
+            "deltas_match": self.n == 0 or (
                 tuple(self.delta_2r) == tuple(self.wcols[:2 * self.r + 1])
                 and (not self.aug_from_ordering
                      or tuple(self.delta_r) == tuple(self.wcols[:self.r + 1]))),
@@ -187,7 +189,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     t0 = time.perf_counter()
     ordering = heuristic_ordering(g, cfg.ordering_strategy)
     profile = weak_reach(g, ordering, 2 * r)
-    wcols = tuple(profile.wcol(kk) for kk in range(2 * r + 1))
+    wcols = tuple([profile.wcol(kk) for kk in range(2 * r + 1)])
     if cfg.use_orientation and inst.orientation is not None and r == 1:
         aug_r = orientation_augmentation(g, inst.orientation)
         aug_from_ordering = False

@@ -137,7 +137,7 @@ def cmd_bench(args) -> int:
         for report in _run_many(instances, cfg, args.workers):
             achieved = (report.xn_size / float(report.gamma_star)
                         if report.gamma_star else 0.0)
-            ok &= achieved <= report.b + 1e-9
+            ok &= achieved <= report.b + 1e-9 and report.all_ok()
             writer.writerow([
                 rep_i, report.instance_id, report.n, report.r, report.b,
                 str(report.gamma_star), report.xn_size,

@@ -121,7 +121,7 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
             continue
         # charging soundness: nothing in N_r[v] was already chosen
         assert not (balls[v] & members)
-        added = tuple(u for u, rho in aug.in_arcs[v] if rho <= r - 1)
+        added = tuple([u for u, rho in aug.in_arcs[v] if rho <= r - 1])
         members.update(added)
         if keep_trace:
             trace.append((v, added))

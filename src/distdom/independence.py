@@ -61,8 +61,8 @@ def is_b_matching(h: Hypergraph, labels, b: int) -> bool:
 def inneighbor_hypergraph(aug: Augmentation) -> Hypergraph:
     """One edge per vertex u, labeled u: the inneighbors of u (u included
     via its loop).  Every edge has size at most Delta_r."""
-    return Hypergraph(aug.n, tuple(
-        (u, frozenset(t for t, _rho in aug.in_arcs[u])) for u in range(aug.n)))
+    return Hypergraph(aug.n, tuple([
+        (u, frozenset(t for t, _rho in aug.in_arcs[u])) for u in range(aug.n)]))
 
 
 def matching_solution_from_packing(h: Hypergraph, y: LpSolution) -> LpSolution:
@@ -70,7 +70,7 @@ def matching_solution_from_packing(h: Hypergraph, y: LpSolution) -> LpSolution:
     inneighbor hypergraph: m_{e_u} = y_u, feasible by construction."""
     if y.status != "optimal" or y.values is None:
         raise ValueError("need an optimal packing solution")
-    values = tuple(y.values[lab] for lab, _m in h.edges)
+    values = tuple([y.values[lab] for lab, _m in h.edges])
     return LpSolution("optimal", values, sum(values))
 
 
@@ -117,8 +117,8 @@ def _relaxation_value(h: Hypergraph, k: int, fixed: dict) -> tuple[object, tuple
     for jj, j in enumerate(free):
         for v in h.edges[j][1]:
             incident.setdefault(v, []).append(jj)
-    rows = tuple((tuple((jj, 1) for jj in js), "<=", residual[v])
-                 for v, js in sorted(incident.items()))
+    rows = tuple([(tuple([(jj, 1) for jj in js]), "<=", residual[v])
+                  for v, js in sorted(incident.items())])
     lp = LinearProgram("max", (1,) * len(free), rows, ((0, 1),) * len(free))
     sol = solve(lp, "float")
     if sol.status != "optimal":
@@ -227,7 +227,7 @@ class IndependenceCertificate:
 def certify_2rb_independent(g: Graph, y: VertexSet, r: int,
                             b: int) -> IndependenceCertificate:
     """ok iff every ball N_r[v] contains at most b members of y."""
-    counts = tuple(len(ball_v & y) for ball_v in all_balls(g, r))
+    counts = tuple([len(ball_v & y) for ball_v in all_balls(g, r)])
     if not counts:
         return IndependenceCertificate(True, None, 0, ())
     worst = max(range(g.n), key=lambda v: counts[v])

@@ -1,14 +1,11 @@
-"""Dense two-phase simplex (exact-rational or float) and the three
+"""Dense two-phase simplex (fraction-free exact or float) and the three
 problem-specific LP builders: ball covering, ball packing, b-matching."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-try:
-    from gmpy2 import mpq as ratio
-except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-    from fractions import Fraction as ratio
+from fractions import Fraction as ratio
 
 from .graph import Graph, all_balls
 
@@ -67,19 +64,28 @@ class LpSolution:
 
 def solve(lp: LinearProgram, mode: str = "exact-rational",
           max_pivots: int = 200_000) -> LpSolution:
-    """Optimal basic solution via two-phase tableau simplex with Bland's
-    anti-cycling rule.  Exact-rational mode pivots on arbitrary-precision
-    rationals; float mode uses tolerance FLOAT_EPS."""
+    """Optimal basic solution via two-phase tableau simplex: Dantzig
+    pricing, with Bland's anti-cycling rule after a run of degenerate
+    pivots.  Float mode uses tolerance FLOAT_EPS.  Exact-rational mode is
+    fraction-free: each tableau row is a list of ints over one positive
+    denominator, divided by their gcd after every elimination, so the
+    pivots build no rationals; it takes the pivots a tableau of exact
+    rationals would and returns the same rationals."""
+    import math
+
     if mode in ("exact-rational", "exact"):
-        conv, tol = lambda v: ratio(v), ratio(0)
+        exact, tol = True, 0
+        conv = lambda v: v if isinstance(v, int) else ratio(v)
     elif mode == "float":
-        conv, tol = float, FLOAT_EPS
+        exact, tol = False, FLOAT_EPS
+        conv = float
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
     zero, one = conv(0), conv(1)
+    gcd = math.gcd
 
     nvars = lp.nvars
-    # dense rows; finite upper bounds become extra <= rows
+    # dense rows with rhs >= 0; finite upper bounds become extra <= rows
     raw_rows: list[tuple[list, str, object]] = []
     for coeffs, rel, rhs in lp.constraints:
         row = [zero] * nvars
@@ -91,143 +97,191 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
             row = [zero] * nvars
             row[j] = one
             raw_rows.append((row, "<=", conv(hi)))
-
-    m = len(raw_rows)
-    nslack = m
-    art_cols: list[int] = []
-    ncols = nvars + nslack
-    rows: list[list] = []
-    basis: list[int] = []
     for i, (row, rel, rhs) in enumerate(raw_rows):
         if rhs < zero:
-            row = [-c for c in row]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<="}[rel]
-        full = row + [zero] * nslack
+            raw_rows[i] = ([-c for c in row], {"<=": ">=", ">=": "<="}[rel], -rhs)
+
+    # columns: variables, one slack per row, one artificial per >= row; the
+    # last entry of every row is its rhs.  Row i stands for rows[i] / dens[i]
+    # and its basic column holds dens[i] (always 1 in float mode).
+    m = len(raw_rows)
+    first_art = nvars + m
+    ncols = first_art + sum(1 for _r, rel, _b in raw_rows if rel == ">=")
+    rows: list[list] = []
+    dens: list = []
+    basis: list[int] = []
+    art = first_art
+    for i, (row, rel, rhs) in enumerate(raw_rows):
+        den = one
+        if exact:  # scale to integers
+            den = math.lcm(rhs.denominator, *[c.denominator for c in row])
+            row = [c.numerator * (den // c.denominator) for c in row]
+            rhs = rhs.numerator * (den // rhs.denominator)
+        full = row + [zero] * (ncols - nvars) + [rhs]
         if rel == "<=":
-            full[nvars + i] = one
+            full[nvars + i] = den
             basis.append(nvars + i)
         else:
-            full[nvars + i] = -one
-            art_cols.append(ncols)
-            basis.append(ncols)
-            ncols += 1
-        rows.append(full + [rhs])
-    for r in rows:  # widen to final column count (+1 for rhs)
-        rhs = r.pop()
-        r.extend([zero] * (ncols - len(r)))
-        r.append(rhs)
-    for i, b in enumerate(basis):
-        if b in art_cols:
-            rows[i][b] = one
+            full[nvars + i] = -den
+            full[art] = den
+            basis.append(art)
+            art += 1
+        rows.append(full)
+        dens.append(den)
 
-    banned = [False] * ncols
-    pivots = [0]
+    def eliminate(i, e, prow, nz, p):
+        # rows[i] -= rows[i][e] * prow / p, where prow[e] == p and nz lists
+        # the (column, value) nonzeros of prow
+        row = rows[i]
+        f = row[e]
+        if exact:
+            g = gcd(f, p)
+            f, p = f // g, p // g
+        den = dens[i]
+        if p != 1:  # exact mode only
+            row = [c * p for c in row]
+            den *= p
+        for j, q in nz:  # c - f*0 == c in the other columns
+            row[j] -= f * q
+        if den != 1:  # exact mode only
+            g = gcd(den, *row)
+            if g > 1:
+                row = [c // g for c in row]
+                den //= g
+        rows[i], dens[i] = row, den
 
-    def run(obj: list, obj_rhs):
-        # maximize; obj holds z_j - c_j entries, obj_rhs the current value.
+    def pivot(r, e):
+        # make column e basic in row r; eliminates it from every other row
+        # of `rows`, the objective row included while one is appended
+        prow = rows[r]
+        p = prow[e]
+        if exact:  # divide out the row's gcd, with the sign that makes p > 0
+            g = gcd(*prow)
+            if p < 0:
+                g = -g
+            if g != 1:
+                prow = [c // g for c in prow]
+            p = prow[e]
+        else:
+            prow = [c / p for c in prow]
+            p = one
+        rows[r], dens[r] = prow, p
+        nz = [(j, q) for j, q in enumerate(prow) if q != zero]
+        for i in range(len(rows)):
+            if i != r and rows[i][e] != zero:
+                eliminate(i, e, prow, nz, p)
+
+    def leaving(e) -> int:
+        # minimum ratio b_i / a_i over a_i > 0, ties to the lower basis
+        # column; exact mode compares the cross products b_i * a_k and
+        # b_k * a_i, float mode the quotients themselves (a = 1)
+        leave, best_a, best_b = -1, one, zero
+        for i in range(m):
+            row = rows[i]
+            a = row[e]
+            if a > tol:
+                b = row[ncols]
+                if not exact:
+                    a, b = one, b / a
+                lhs, rhs = b * best_a, best_b * a
+                if (leave < 0 or lhs < rhs
+                        or (lhs == rhs and basis[i] < basis[leave])):
+                    leave, best_a, best_b = i, a, b
+        return leave
+
+    pivots = 0
+
+    def run(ncand: int) -> str:
+        # maximize over candidate columns 0..ncand-1; the objective row
+        # rows[m] holds z_j - c_j and, last, the current objective value.
         # Dantzig pricing normally; Bland's rule takes over after a run of
         # degenerate (non-improving) pivots, which guarantees termination.
-        box = [obj_rhs]
+        nonlocal pivots
         stall = 0
         while True:
+            obj = rows[m]
             enter = -1
             if stall < 20:
                 best_red = -tol
-                for j in range(ncols):
-                    if not banned[j] and obj[j] < best_red:
+                for j in range(ncand):
+                    if obj[j] < best_red:
                         best_red = obj[j]
                         enter = j
             else:
-                for j in range(ncols):
-                    if not banned[j] and obj[j] < -tol:
+                for j in range(ncand):
+                    if obj[j] < -tol:
                         enter = j
                         break
             if enter < 0:
-                return "optimal", box[0]
-            leave, best = -1, None
-            for i in range(m):
-                a = rows[i][enter]
-                if a > tol:
-                    q = rows[i][ncols] / a
-                    if best is None or q < best or (q == best and basis[i] < basis[leave]):
-                        leave, best = i, q
+                return "optimal"
+            leave = leaving(enter)
             if leave < 0:
-                return "unbounded", box[0]
-            pivots[0] += 1
-            if pivots[0] > max_pivots:
+                return "unbounded"
+            pivots += 1
+            if pivots > max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded")
-            piv = rows[leave][enter]
-            rows[leave] = [c / piv for c in rows[leave]]
-            prow = rows[leave]
-            for i in range(m):
-                if i != leave and rows[i][enter] != zero:
-                    f = rows[i][enter]
-                    rows[i] = [c - f * p for c, p in zip(rows[i], prow)]
             f = obj[enter]
-            if f != zero:
-                for j in range(ncols):
-                    obj[j] = obj[j] - f * prow[j]
-                gain = -f * prow[ncols]
-                box[0] = box[0] + gain
-                stall = 0 if gain > tol else stall + 1
+            pivot(leave, enter)
+            gain = -f * rows[leave][ncols]
+            stall = 0 if gain > tol else stall + 1
             basis[leave] = enter
 
-    def priced_obj(cost: dict) -> tuple[list, object]:
-        obj = [zero] * ncols
-        for j, c in cost.items():
-            obj[j] = -c
-        obj_rhs = zero
+    def push_objective(cost: dict) -> None:
+        # append the objective row -cost, priced out against the basis
+        obj = [zero] * (ncols + 1)
+        den = one
+        if exact:
+            den = math.lcm(*[c.denominator for c in cost.values()])
+            for j, c in cost.items():
+                obj[j] = -c.numerator * (den // c.denominator)
+        else:
+            for j, c in cost.items():
+                obj[j] = -c
+        rows.append(obj)
+        dens.append(den)
         for i, b in enumerate(basis):
             if obj[b] != zero:
-                f = obj[b]
-                for j in range(ncols):
-                    obj[j] = obj[j] - f * rows[i][j]
-                obj_rhs = obj_rhs - f * rows[i][ncols]
-        return obj, obj_rhs
+                row = rows[i]
+                eliminate(m, b, row, [(j, q) for j, q in enumerate(row)
+                                      if q != zero], dens[i])
+                obj = rows[m]
 
-    if art_cols:
-        obj, obj_rhs = priced_obj({j: -one for j in art_cols})
-        status, value = run(obj, obj_rhs)
+    if ncols > first_art:
+        push_objective({j: -one for j in range(first_art, ncols)})
+        status = run(ncols)
         # phase 1 maximizes -(sum of artificials); feasible iff optimum is 0
         feas_cut = -1e-7 if tol else zero
-        if status != "optimal" or value < feas_cut:
+        if status != "optimal" or rows[m][ncols] < feas_cut:
             return LpSolution("infeasible", None, None)
+        rows.pop()
+        dens.pop()
         # drive artificials out of the basis, drop redundant rows
         for i in range(m - 1, -1, -1):
-            if basis[i] in art_cols:
+            if basis[i] >= first_art:
                 piv_col = -1
-                for j in range(ncols):
-                    if j not in art_cols and abs(rows[i][j]) > tol:
+                for j in range(first_art):
+                    if abs(rows[i][j]) > tol:
                         piv_col = j
                         break
                 if piv_col < 0:
-                    del rows[i]
-                    del basis[i]
+                    del rows[i], dens[i], basis[i]
                 else:
-                    piv = rows[i][piv_col]
-                    rows[i] = [c / piv for c in rows[i]]
-                    prow = rows[i]
-                    for ii in range(len(rows)):
-                        if ii != i and rows[ii][piv_col] != zero:
-                            f = rows[ii][piv_col]
-                            rows[ii] = [c - f * p for c, p in zip(rows[ii], prow)]
+                    pivot(i, piv_col)
                     basis[i] = piv_col
         m = len(rows)
-        for j in art_cols:
-            banned[j] = True
+        # artificial columns never enter again: drop them
+        rows = [row[:first_art] + row[ncols:] for row in rows]
+        ncols = first_art
 
     sign = one if lp.sense == "max" else -one
-    cost = {j: sign * conv(c) for j, c in enumerate(lp.objective)}
-    obj, obj_rhs = priced_obj(cost)
-    status, _value = run(obj, obj_rhs)
-    if status == "unbounded":
+    push_objective({j: sign * conv(c) for j, c in enumerate(lp.objective)})
+    if run(ncols) == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    values = [zero] * nvars
+    values = [ratio(0) if exact else zero] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            values[b] = rows[i][ncols]
+            values[b] = ratio(rows[i][ncols], dens[i]) if exact else rows[i][ncols]
     objective = sum(conv(c) * values[j] for j, c in enumerate(lp.objective))
     return LpSolution("optimal", tuple(values), objective)
 
@@ -254,8 +308,13 @@ def domination_lp(g: Graph, r: int) -> LinearProgram:
     """
     if r < 1:
         raise ValueError("r must be positive")
-    rows = tuple((tuple((v, 1) for v in sup), ">=", 1)
-                 for sup in _dedup_rows(all_balls(g, r)))
+    # Here and across the pipeline, tuples are built from lists, not from
+    # generators.  CPython builds the latter by resizing a 10-slot tuple,
+    # so it takes none from the free list of the final size but returns it
+    # there when freed; the lists fill up, and only a full garbage
+    # collection empties them.
+    rows = tuple([(tuple([(v, 1) for v in sup]), ">=", 1)
+                  for sup in _dedup_rows(all_balls(g, r))])
     return LinearProgram("min", (1,) * g.n, rows, ((0, None),) * g.n)
 
 
@@ -264,8 +323,8 @@ def independence_lp(g: Graph, r: int) -> LinearProgram:
     the exact dual of domination_lp over the same (symmetric) ball system."""
     if r < 1:
         raise ValueError("r must be positive")
-    rows = tuple((tuple((u, 1) for u in sup), "<=", 1)
-                 for sup in _dedup_rows(all_balls(g, r)))
+    rows = tuple([(tuple([(u, 1) for u in sup]), "<=", 1)
+                  for sup in _dedup_rows(all_balls(g, r))])
     return LinearProgram("max", (1,) * g.n, rows, ((0, None),) * g.n)
 
 
@@ -281,8 +340,8 @@ def bmatching_lp(h, b: int) -> LinearProgram:
     for j, (_label, members) in enumerate(h.edges):
         for v in members:
             incident.setdefault(v, []).append(j)
-    rows = tuple((tuple((j, 1) for j in js), "<=", b)
-                 for _v, js in sorted(incident.items()))
+    rows = tuple([(tuple([(j, 1) for j in js]), "<=", b)
+                  for _v, js in sorted(incident.items())])
     return LinearProgram("max", (1,) * ne, rows, ((0, 1),) * ne)
 
 

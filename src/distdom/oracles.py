@@ -120,7 +120,10 @@ def brute_alpha_2r(g: Graph, r: int,
         rec(cand & ~(1 << v) & ~conf[v], chosen | (1 << v), size + 1)
         rec(cand & ~(1 << v), chosen, size)
 
-    rec((1 << g.n) - 1, 0, 0)
+    try:
+        rec((1 << g.n) - 1, 0, 0)
+    finally:
+        rec = None  # the closure refers to itself: break the cycle
     witness = frozenset(v for v in range(g.n) if best[1] >> v & 1)
     return OracleResult(best[0], witness)
 
@@ -172,7 +175,10 @@ def brute_alpha_2rb(g: Graph, r: int, b: int,
                 counts[w] -= 1
         rec(v + 1)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        rec = None  # the closure refers to itself: break the cycle
     return OracleResult(best[0], best[1])
 
 
@@ -224,5 +230,8 @@ def brute_bmatching(h: Hypergraph, b: int,
                 counts[v] -= 1
         rec(j + 1)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        rec = None  # the closure refers to itself: break the cycle
     return OracleResult(best[0], best[1])

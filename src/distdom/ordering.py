@@ -68,7 +68,8 @@ class WeakReachProfile:
         return sum(1 for d in self.min_reach[v].values() if d <= k)
 
     def wcol(self, k: int) -> int:
-        return max(self.q_count(v, k) for v in range(len(self.min_reach)))
+        return max((self.q_count(v, k) for v in range(len(self.min_reach))),
+                   default=0)
 
 
 def weak_reach(g: Graph, ordering: Ordering, K: int) -> WeakReachProfile:
@@ -82,7 +83,7 @@ def weak_reach(g: Graph, ordering: Ordering, K: int) -> WeakReachProfile:
     if K < 0:
         raise ValueError("K must be nonnegative")
     pos = ordering.position
-    min_reach: tuple[dict, ...] = tuple({} for _ in range(g.n))
+    min_reach: tuple[dict, ...] = tuple([{} for _ in range(g.n)])
     for u in range(g.n):
         base = pos[u]
         dist = {u: 0}

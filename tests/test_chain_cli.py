@@ -186,3 +186,33 @@ def test_cli_budget_env_override(tmp_path, monkeypatch, cycle5):
     code, out, _ = _run(["analyze", str(path)])
     assert code == 0
     assert json.loads(out)["oracle_gamma"] == ""
+
+
+def test_cli_bench_fails_on_broken_chain(tmp_path, monkeypatch, cycle6):
+    import dataclasses
+
+    import distdom.cli as cli
+
+    def broken(inst, cfg):
+        # within the achieved-ratio bound, but Y1 fails its check
+        return dataclasses.replace(analyze(inst, cfg), y1_independent=False)
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c6.json").write_text(to_json(cycle6))
+    monkeypatch.setattr(cli, "analyze", broken)
+    code, out, _ = _run(["bench", "--corpus", str(corpus)])
+    assert code == 1
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("mode", ["--exact", "--no-exact"])
+def test_cli_analyze_empty_graph(tmp_path, r, mode):
+    path = tmp_path / "empty.dimacs"
+    path.write_text("p edge 0 0\n")
+    code, out, _ = _run(["analyze", str(path), "--r", str(r), mode])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["n"] == 0 and obj["all_ok"] == 1
+    assert obj["w_2r"] == 0 and obj["xn"] == 0 and obj["y1"] == 0

@@ -1,14 +1,20 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distdom.augment import augment_from_ordering
+from distdom.chain import default_corpus
 from distdom.graph import from_edges
-from distdom.independence import Hypergraph
-from distdom.instances import build_h_r, clique_hypergraph
+from distdom.independence import Hypergraph, inneighbor_hypergraph
+from distdom.instances import build_h_r, clique_hypergraph, grid_graph
 from distdom.lp import (LinearProgram, bmatching_lp, ceil_ratio, domination_lp,
                         dump_lp, independence_lp, ratio, solve)
+from distdom.ordering import heuristic_ordering
 
 from conftest import graphs
+from lp_reference import reference_solve
 
 
 def clique(n):
@@ -141,3 +147,112 @@ def test_rejects_malformed_programs():
         LinearProgram("max", (1,), ((((3, 1),), "<=", 1),), ((0, None),))
     with pytest.raises(ValueError):
         solve(domination_lp(from_edges(1, []), 1), "nope")
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the rational-tableau reference
+
+
+def _pivot_count(prog, mode):
+    """Pivots solve makes on prog: the least max_pivots under which it
+    finishes, by doubling and then bisection."""
+    def finishes(limit):
+        try:
+            solve(prog, mode, max_pivots=limit)
+        except RuntimeError:
+            return False
+        return True
+
+    hi = 1
+    while not finishes(hi):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if finishes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _assert_same_as_reference(prog, mode):
+    # same solution, and the reference finishes within exactly as many
+    # pivots as solve: it raises one pivot short of that
+    pivots = _pivot_count(prog, mode)
+    got = solve(prog, mode)
+    ref = reference_solve(prog, mode, max_pivots=pivots)
+    assert got.status == ref.status
+    assert got.values == ref.values
+    assert got.objective == ref.objective
+    if got.values is not None:
+        assert [type(v) for v in got.values] == [type(v) for v in ref.values]
+    if pivots:
+        with pytest.raises(RuntimeError, match="pivot limit"):
+            reference_solve(prog, mode, max_pivots=pivots - 1)
+
+
+_numbers = st.one_of(st.integers(-3, 3),
+                     st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def linear_programs(draw):
+    """Small LPs of either sense with mixed relations, negative and
+    fractional data, repeated variables in a row and upper bounds."""
+    nvars = draw(st.integers(1, 4))
+    constraints = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = tuple(draw(st.lists(
+            st.tuples(st.integers(0, nvars - 1), _numbers),
+            min_size=1, max_size=nvars + 1)))
+        constraints.append((coeffs, draw(st.sampled_from(["<=", ">="])),
+                            draw(_numbers)))
+    bounds = tuple((0, draw(st.one_of(st.none(), st.integers(0, 3),
+                                      st.fractions(0, 3, max_denominator=3))))
+                   for _ in range(nvars))
+    objective = tuple(draw(_numbers) for _ in range(nvars))
+    return LinearProgram(draw(st.sampled_from(["min", "max"])), objective,
+                         tuple(constraints), bounds)
+
+
+_INFEASIBLE = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), "<=", -1),),
+                            ((0, None),) * 2)
+_UNBOUNDED = LinearProgram("max", (1, Fraction(-1, 2)),
+                           ((((0, 1), (1, -2)), "<=", 3),), ((0, None),) * 2)
+
+
+@given(linear_programs(), st.sampled_from(["exact-rational", "float"]))
+@example(_INFEASIBLE, "exact-rational")
+@example(_INFEASIBLE, "float")
+@example(_UNBOUNDED, "exact-rational")
+@example(_UNBOUNDED, "float")
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_reference(prog, mode):
+    _assert_same_as_reference(prog, mode)
+
+
+def test_reference_examples_cover_every_status():
+    assert solve(_INFEASIBLE).status == "infeasible"
+    assert solve(_UNBOUNDED).status == "unbounded"
+
+
+# corpus instances whose reference solves take well under a second
+_FAST_CORPUS = [inst for inst in default_corpus(7) if inst.graph.n <= 25]
+
+
+@pytest.mark.parametrize("inst", _FAST_CORPUS, ids=lambda inst: inst.id)
+def test_builders_match_reference_on_corpus(inst):
+    g, r = inst.graph, inst.r
+    h = inneighbor_hypergraph(augment_from_ordering(g, heuristic_ordering(g), r))
+    for prog in (domination_lp(g, r), independence_lp(g, r), bmatching_lp(h, 2)):
+        _assert_same_as_reference(prog, "exact-rational")
+
+
+def test_float_mode_bit_identical_to_reference():
+    g = grid_graph(2, 30)
+    for prog in (domination_lp(g, 1), independence_lp(g, 1)):
+        got, ref = solve(prog, "float"), reference_solve(prog, "float")
+        assert got.status == ref.status == "optimal"
+        assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]
+        assert got.objective.hex() == ref.objective.hex()

@@ -108,3 +108,28 @@ def test_alpha_2rb_monotone_in_b(g, r, b):
     assert (brute_alpha_2rb(g, r, b).value
             <= brute_alpha_2rb(g, r, b + 1).value)
     assert brute_alpha_2rb(g, r, 1).value == brute_alpha_2r(g, r).value
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, h: brute_alpha_2r(g, 1),
+    lambda g, h: brute_alpha_2rb(g, 1, 2),
+    lambda g, h: brute_bmatching(h, 1),
+    lambda g, h: brute_alpha_2r(g, 1, OracleBudget(max_nodes=2)),
+    lambda g, h: brute_alpha_2rb(g, 1, 2, OracleBudget(max_nodes=2)),
+    lambda g, h: brute_bmatching(h, 1, OracleBudget(max_nodes=2)),
+], ids=["alpha_2r", "alpha_2rb", "bmatching", "alpha_2r-budget",
+        "alpha_2rb-budget", "bmatching-budget"])
+def test_oracles_leave_no_reference_cycles(grid33, triangle_hypergraph, call):
+    # the recursive closures refer to themselves; every exit must break the
+    # cycle so that refcounting alone frees them
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            call(grid33, triangle_hypergraph)
+        except BudgetExceeded:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
