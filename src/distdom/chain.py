@@ -6,14 +6,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import lp
 from .augment import (augmentation_from_profile, indegree_profile,
                       orientation_augmentation, verify_augmentation)
 from .domination import guarantee_factor, round_dominating
 from .graph import Graph, all_balls
-from .independence import (certify_2rb_independent, extract_kmatching,
-                           inneighbor_hypergraph,
+from .independence import (EXACT_MATCHING_MAX_EDGES, certify_2rb_independent,
+                           extract_kmatching, inneighbor_hypergraph,
                            matching_solution_from_packing,
                            sparsify_to_independent)
 from .instances import (build_h_r, clique_hypergraph,
@@ -23,7 +24,8 @@ from .oracles import (BudgetExceeded, OracleBudget, brute_alpha_2r,
                       brute_alpha_2rb, brute_gamma_r)
 from .ordering import heuristic_ordering, weak_reach
 
-FLOAT_TOL = 1e-6
+# LPs of graphs with fewer vertices are solved in exact rationals by default
+EXACT_VERTEX_LIMIT = 200
 
 CSV_COLUMNS = [
     "id", "n", "m", "r", "w_r", "w_2r", "b", "k", "d",
@@ -48,15 +50,11 @@ class CorpusInstance:
 @dataclass(frozen=True)
 class AnalyzeConfig:
     ordering_strategy: str = "degeneracy"
-    mode: str | None = None  # None = exact below exact_vertex_limit
-    exact_vertex_limit: int = 200
-    verify_vertex_limit: int = 2000
-    matching_strategy: str | None = None  # None = exact when edges allow
-    exact_matching_edge_limit: int = 60
-    matching_max_nodes: int = 200_000
+    mode: str | None = None  # None = exact below EXACT_VERTEX_LIMIT
     oracle_budget: OracleBudget = field(default_factory=OracleBudget)
-    use_orientation: bool = True
     keep_sets: bool = False
+    # augmentations are verified on graphs up to this many vertices
+    verify_vertex_limit: ClassVar[int] = 2000
 
 
 @dataclass
@@ -104,7 +102,7 @@ class ChainReport:
         return self.wcols[2 * self.r]
 
     def inequalities(self) -> dict:
-        eq_tol = 0 if self.exact_mode else FLOAT_TOL
+        eq_tol = 0 if self.exact_mode else lp.FLOAT_TOL
         # Delta_k = wcol_k holds vertex by vertex, so vacuously when n = 0,
         # where wcol_k is 0 and Delta_k is floored at 1
         checks = {
@@ -179,7 +177,7 @@ def _is_2r_independent(g: Graph, y, r: int) -> bool:
 
 def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> ChainReport:
     g, r = inst.graph, inst.r
-    mode = cfg.mode or ("exact-rational" if g.n < cfg.exact_vertex_limit else "float")
+    mode = cfg.mode or ("exact-rational" if g.n < EXACT_VERTEX_LIMIT else "float")
     exact = mode != "float"
     timings: dict[str, float] = {}
 
@@ -190,7 +188,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     ordering = heuristic_ordering(g, cfg.ordering_strategy)
     profile = weak_reach(g, ordering, 2 * r)
     wcols = tuple([profile.wcol(kk) for kk in range(2 * r + 1)])
-    if cfg.use_orientation and inst.orientation is not None and r == 1:
+    if inst.orientation is not None and r == 1:
         aug_r = orientation_augmentation(g, inst.orientation)
         aug_from_ordering = False
     else:
@@ -231,14 +229,10 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
 
     t0 = time.perf_counter()
     h = inneighbor_hypergraph(aug_r)
-    strategy = cfg.matching_strategy
-    if strategy is None:
-        strategy = ("exact" if len(h.edges) <= cfg.exact_matching_edge_limit
-                    else "threshold+greedy")
+    strategy = ("exact" if len(h.edges) <= EXACT_MATCHING_MAX_EDGES
+                else "threshold+greedy")
     m_sol = matching_solution_from_packing(h, sol_y)
-    matching = extract_kmatching(h, k, m_sol, strategy,
-                                 max_edges_exact=cfg.exact_matching_edge_limit,
-                                 max_nodes=cfg.matching_max_nodes)
+    matching = extract_kmatching(h, k, m_sol, strategy)
     y = frozenset(matching.selected)
     cert = certify_2rb_independent(g, y, r, b)
     y1 = sparsify_to_independent(g, aug_2r, y, b)

@@ -8,20 +8,28 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .chain import (CSV_COLUMNS, AnalyzeConfig, ChainReport, CorpusInstance,
-                    analyze, default_corpus)
+from .chain import (CSV_COLUMNS, EXACT_VERTEX_LIMIT, AnalyzeConfig, ChainReport,
+                    CorpusInstance, analyze, default_corpus)
 from .graph import load_graph, to_json
 from .instances import (build_h_r, clique_hypergraph, covering_hard_hypergraph,
                         grid_graph, random_degenerate_graph)
+from .lp import FLOAT_EPS
 from .oracles import OracleBudget
 
 CSV_HEADER_COMMENT = "# distdom chain-report v1"
 
 
 def _budget_from_args(args) -> OracleBudget:
+    if args.budget is not None:
+        return OracleBudget(max_vertices=args.budget)
     env = os.environ.get("DISTDOM_BUDGET_VERTICES")
-    max_v = args.budget if args.budget is not None else (int(env) if env else 14)
-    return OracleBudget(max_vertices=max_v)
+    if not env:
+        return OracleBudget()
+    try:
+        return OracleBudget(max_vertices=int(env))
+    except ValueError:
+        raise ValueError(
+            f"DISTDOM_BUDGET_VERTICES={env!r} is not an integer") from None
 
 
 def _config_from_args(args) -> AnalyzeConfig:
@@ -114,8 +122,6 @@ def cmd_generate(args) -> int:
         payload = build_h_r(clique_hypergraph(args.n), args.r).to_json()
     elif args.family == "covering-hard":
         payload = build_h_r(covering_hard_hypergraph(args.n), args.r).to_json()
-    elif args.family == "subdivided-clique":
-        payload = build_h_r(clique_hypergraph(args.n), args.r).to_json()
     else:
         raise SystemExit(f"unknown family {args.family!r}")
     if args.out:
@@ -137,7 +143,7 @@ def cmd_bench(args) -> int:
         for report in _run_many(instances, cfg, args.workers):
             achieved = (report.xn_size / float(report.gamma_star)
                         if report.gamma_star else 0.0)
-            ok &= achieved <= report.b + 1e-9 and report.all_ok()
+            ok &= achieved <= report.b + FLOAT_EPS and report.all_ok()
             writer.writerow([
                 rep_i, report.instance_id, report.n, report.r, report.b,
                 str(report.gamma_star), report.xn_size,
@@ -154,37 +160,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "independence, with machine-checked inequality chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle=True):
+    def common(p):
         p.add_argument("--r", type=int, default=1)
         p.add_argument("--strategy", default="degeneracy",
                        choices=["degeneracy", "descending-degree", "input-order"])
         p.add_argument("--exact", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="force exact-rational (or float) LP mode; "
-                            "default: exact below 200 vertices")
-        p.add_argument("--seed", type=int, default=7)
+                            f"default: exact below {EXACT_VERTEX_LIMIT} vertices")
         p.add_argument("--budget", type=int, default=None,
                        help="oracle vertex budget (env DISTDOM_BUDGET_VERTICES)")
+
+    def corpus_options(p):
+        p.add_argument("--corpus", default=None,
+                       help="directory of .json graphs; default: built-in corpus")
+        p.add_argument("--seed", type=int, default=7,
+                       help="seed of the built-in corpus")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("analyze", help="run the full pipeline on one graph")
     p.add_argument("graph")
     p.add_argument("--keep-sets", action="store_true")
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-chain",
                        help="verify the inequality chain over a corpus")
-    p.add_argument("--corpus", default=None,
-                   help="directory of .json graphs; default: built-in corpus")
     p.add_argument("--out", default=None, help="CSV output path")
     common(p)
+    corpus_options(p)
     p.set_defaults(func=cmd_verify_chain)
 
     p = sub.add_parser("generate", help="emit a benchmark instance as JSON")
     p.add_argument("family", choices=["grid", "random-degenerate", "clique-hr",
-                                      "covering-hard", "subdivided-clique"])
+                                      "covering-hard"])
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--rows", type=int, default=3)
@@ -195,17 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="timings and achieved ratios over a corpus")
-    p.add_argument("--corpus", default=None)
     p.add_argument("--repetitions", type=int, default=1)
     common(p)
+    corpus_options(p)
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Bad input (a malformed or missing graph file, an
+    out-of-range parameter) is reported on one line with exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"distdom: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .augment import Augmentation, IndegreeProfile, indegree_profile
 from .graph import Graph, VertexSet, all_balls
-from .lp import FLOAT_EPS, LpSolution, ratio
+from .lp import FLOAT_EPS, FLOAT_TOL, LpSolution, ratio
 from .ordering import Ordering
 
 
@@ -51,28 +50,10 @@ class DominationResult:
         }, separators=(",", ":"))
 
 
-def _near_set(g: Graph, v: int, r: int, members: set[int]) -> bool:
-    """Is some vertex of members at distance <= r from v?  Truncated BFS."""
-    if v in members:
-        return True
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        if dist[w] == r:
-            continue
-        for x in g.adj[w]:
-            if x not in dist:
-                if x in members:
-                    return True
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return False
-
-
 def _near_set_via_aug(aug: Augmentation, out, v: int, members: set[int]) -> bool:
-    """Same membership test through the augmentation's distance condition:
-    some u in members and v share an inneighbor x with rho(xu)+rho(xv) <= r."""
+    """Is some vertex of members at distance <= r from v?  Decided by the
+    augmentation's distance condition: some u in members and v share an
+    inneighbor x with rho(xu)+rho(xv) <= r."""
     for x, rho_v in aug.in_arcs[v]:
         for u, rho_u in out[x]:
             if u in members and rho_u + rho_v <= aug.r:
@@ -100,7 +81,7 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
     balls = all_balls(g, r)
     for u in range(g.n):
         total = sum(x.values[v] for v in balls[u])
-        if (exact and total < 1) or (not exact and total < 1 - 1e-6):
+        if (exact and total < 1) or (not exact and total < 1 - FLOAT_TOL):
             raise ValueError(f"infeasible solution: ball of {u} covered by {total}")
 
     a = guarantee_factor(indegree_profile(aug), r).a
@@ -114,13 +95,11 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
     out = aug.out_arcs() if cross_check else None
     trace: list[tuple[int, tuple[int, ...]]] = []
     for v in sweep.by_rank:
-        near = _near_set(g, v, r, members)
+        near = not balls[v].isdisjoint(members)
         if cross_check:
             assert near == _near_set_via_aug(aug, out, v, members)
         if near:
             continue
-        # charging soundness: nothing in N_r[v] was already chosen
-        assert not (balls[v] & members)
         added = tuple([u for u, rho in aug.in_arcs[v] if rho <= r - 1])
         members.update(added)
         if keep_trace:
@@ -131,6 +110,6 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
     if exact:
         bound_ok = len(members) <= a * lp_value
     else:
-        bound_ok = len(members) <= a * lp_value + 1e-6
+        bound_ok = len(members) <= a * lp_value + FLOAT_TOL
     return DominationResult(frozenset(members), x0_size, a, lp_value,
                             valid, bound_ok, tuple(trace) if keep_trace else None)

@@ -81,23 +81,32 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex id {v} out of range 0..{g.n - 1}")
 
 
+def _bfs(g: Graph, v: int, r: int | float, target: int = -1) -> dict[int, int]:
+    """Distances from v to every vertex within r, in BFS order; stops as
+    soon as target is reached."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        w = queue.popleft()
+        d = dist[w]
+        if d == r:
+            continue
+        for x in g.adj[w]:
+            if x not in dist:
+                dist[x] = d + 1
+                if x == target:
+                    return dist
+                queue.append(x)
+    return dist
+
+
 def distance(g: Graph, u: int, v: int) -> int | float:
     """Shortest-path distance; INF when u and v are disconnected."""
     _check_vertex(g, u)
     _check_vertex(g, v)
     if u == v:
         return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in g.adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                if x == v:
-                    return dist[x]
-                queue.append(x)
-    return INF
+    return _bfs(g, u, INF, v).get(v, INF)
 
 
 def ball(g: Graph, v: int, r: int) -> VertexSet:
@@ -105,17 +114,7 @@ def ball(g: Graph, v: int, r: int) -> VertexSet:
     _check_vertex(g, v)
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        if dist[w] == r:
-            continue
-        for x in g.adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return frozenset(dist)
+    return frozenset(_bfs(g, v, r))
 
 
 def all_balls(g: Graph, r: int) -> list[VertexSet]:
@@ -162,6 +161,8 @@ def _parse_dimacs(text: str) -> Graph:
                 n = int(parts[2])
             except ValueError:
                 raise GraphParseError("malformed vertex count", lineno) from None
+            if n < 0:
+                raise GraphParseError(f"negative vertex count {n}", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge before problem line", lineno)

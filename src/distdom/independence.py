@@ -3,12 +3,17 @@ followed by degeneracy-coloring sparsification to 2r-independent sets."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .augment import Augmentation, indegree_profile
-from .graph import Graph, VertexSet, all_balls
-from .lp import FLOAT_EPS, LinearProgram, LpSolution, ratio, solve
+from .graph import Graph, VertexSet, all_balls, ball
+from .lp import FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, ratio, solve
+from .ordering import _peel
+
+# Largest hypergraph (in edges) the exact k-matching search accepts, and
+# its branch-and-bound node budget.
+EXACT_MATCHING_MAX_EDGES = 60
+MATCHING_MAX_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ def _relaxation_value(h: Hypergraph, k: int, fixed: dict) -> tuple[object, tuple
     return base + sol.objective, sol.values
 
 
-def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set,
-                         max_nodes: int) -> set:
+def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set) -> set:
     """Branch-and-bound on edge variables with float-LP bounds; the LP of
     the k-matching relaxation is tight enough that few nodes are explored."""
     best = set(incumbent)
@@ -136,11 +140,11 @@ def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set,
     while stack:
         fixed = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > MATCHING_MAX_NODES:
             raise MatchingBudgetExceeded(
-                f"k-matching search exceeded {max_nodes} nodes")
+                f"k-matching search exceeded {MATCHING_MAX_NODES} nodes")
         bound, values = _relaxation_value(h, k, fixed)
-        if bound is None or int(bound + 1e-6) <= len(best):
+        if bound is None or int(bound + FLOAT_TOL) <= len(best):
             continue
         free = [(j, lab) for j, (lab, _m) in enumerate(h.edges)
                 if lab not in fixed]
@@ -156,7 +160,7 @@ def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set,
                 frac_j = lab
         if frac_j is None:
             candidate = {lab for lab, s in fixed.items() if s == 1}
-            candidate |= {lab for lab, v in vals.items() if v >= 1 - 1e-6}
+            candidate |= {lab for lab, v in vals.items() if v >= 1 - FLOAT_TOL}
             if is_b_matching(h, candidate, k) and len(candidate) > len(best):
                 best = candidate
             continue
@@ -167,8 +171,7 @@ def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set,
 
 def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
                       strategy: str = "threshold+greedy",
-                      max_edges_exact: int = 60,
-                      max_nodes: int = 200_000) -> BMatching:
+                      max_edges_exact: int = EXACT_MATCHING_MAX_EDGES) -> BMatching:
     """Integral k-matching from a feasible fractional 1-matching.
 
     threshold keeps edges with m_e >= 1/k (always a valid k-matching);
@@ -192,7 +195,7 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
             raise MatchingBudgetExceeded(
                 f"exact strategy refused: {len(h.edges)} edges > {max_edges_exact}")
         selected = _greedy_extend(h, k, selected)
-        selected = _exact_max_kmatching(h, k, selected, max_nodes)
+        selected = _exact_max_kmatching(h, k, selected)
     else:
         raise ValueError(f"unknown matching strategy {strategy!r}")
     assert is_b_matching(h, selected, k)
@@ -234,43 +237,12 @@ def certify_2rb_independent(g: Graph, y: VertexSet, r: int,
     return IndependenceCertificate(counts[worst] <= b, worst, counts[worst], counts)
 
 
-def _conflict_adjacency(g: Graph, y: VertexSet, r2: int) -> dict:
-    """Adjacency of the conflict graph: members of y at distance <= 2r."""
-    ys = sorted(y)
-    adj: dict[int, set] = {v: set() for v in ys}
-    target = set(ys)
-    for v in ys:
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            if dist[w] == r2:
-                continue
-            for x in g.adj[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    queue.append(x)
-        for w in dist:
-            if w != v and w in target:
-                adj[v].add(w)
-                adj[w].add(v)
-    return adj
-
-
-def conflict_orientation_indegrees(g: Graph, aug2r: Augmentation, y: VertexSet,
-                                   r: int) -> dict:
-    """Indegrees of the conflict graph under the inneighbor-based
-    orientation: y2 -> y1 whenever some inneighbor v of y1 in the
-    2r-augmentation has y2 in N_r[v]."""
-    balls = all_balls(g, r)
-    indeg = {}
-    for y1 in sorted(y):
-        tails = set()
-        for v, _rho in aug2r.in_arcs[y1]:
-            tails |= balls[v] & y
-        tails.discard(y1)
-        indeg[y1] = len(tails)
-    return indeg
+def _conflict_adjacency(g: Graph, ys: list[int], r2: int) -> list[list[int]]:
+    """Conflict graph on the indices of ys: i and j are adjacent when
+    ys[i] and ys[j] are at distance <= 2r."""
+    index = {v: i for i, v in enumerate(ys)}
+    return [[index[w] for w in ball(g, v, r2) if w != v and w in index]
+            for v in ys]
 
 
 def sparsify_to_independent(g: Graph, aug2r: Augmentation, y: VertexSet,
@@ -293,49 +265,21 @@ def sparsify_to_independent(g: Graph, aug2r: Augmentation, y: VertexSet,
     if not y:
         return frozenset()
     d = b * indegree_profile(aug2r).delta[r2]
-    adj = _conflict_adjacency(g, y, r2)
+    ys = sorted(y)
+    adj = _conflict_adjacency(g, ys, r2)
 
-    # smallest-last elimination order, ties to the smallest id
-    deg = {v: len(adj[v]) for v in adj}
-    alive = set(adj)
-    order: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        order.append(v)
-        alive.discard(v)
-        for w in adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    order.reverse()
-
+    # smallest-last coloring; indices follow ys, so ties go to the smallest id
     color: dict[int, int] = {}
-    for v in order:
-        used = {color[w] for w in adj[v] if w in color}
+    for i in _peel(adj)[0]:
+        used = {color[j] for j in adj[i] if j in color}
         c = 0
         while c in used:
             c += 1
-        color[v] = c
+        color[i] = c
     ncolors = max(color.values()) + 1
     assert ncolors <= 2 * d, f"coloring used {ncolors} > 2d = {2 * d} colors"
     classes: dict[int, set] = {}
-    for v, c in color.items():
-        classes.setdefault(c, set()).add(v)
+    for i, c in color.items():
+        classes.setdefault(c, set()).add(ys[i])
     best_c = max(classes, key=lambda c: (len(classes[c]), -c))
     return frozenset(classes[best_c])
-
-
-@dataclass(frozen=True)
-class IndependenceResult:
-    y_set: VertexSet
-    b: int
-    y1_set: VertexSet
-    d: int
-    witness_counts: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "y": sorted(self.y_set),
-            "b": self.b,
-            "y1": sorted(self.y1_set),
-            "d": self.d,
-        }, separators=(",", ":"))

@@ -146,13 +146,3 @@ def random_degenerate_graph(n: int, d: int, seed: int) -> tuple[Graph, tuple[tup
             orientation.append((u, v))
     return from_edges(n, edges), tuple(orientation)
 
-
-def random_corpus(seed: int, family: str, **params) -> Graph:
-    """Deterministic generator dispatch for the benchmark corpus."""
-    if family == "grid":
-        return grid_graph(params["rows"], params["cols"])
-    if family == "random-degenerate":
-        return random_degenerate_graph(params["n"], params["d"], seed)[0]
-    if family == "subdivided-clique":
-        return build_h_r(clique_hypergraph(params["n"]), params["r"]).graph
-    raise ValueError(f"unknown family {family!r}")

@@ -9,7 +9,8 @@ from fractions import Fraction as ratio
 
 from .graph import Graph, all_balls
 
-FLOAT_EPS = 1e-9
+FLOAT_EPS = 1e-9  # zero test of the float simplex and of float thresholds
+FLOAT_TOL = 1e-6  # slack when float LP optima are compared or rounded
 
 
 def ceil_ratio(x) -> int:
@@ -249,9 +250,17 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     if ncols > first_art:
         push_objective({j: -one for j in range(first_art, ncols)})
         status = run(ncols)
-        # phase 1 maximizes -(sum of artificials); feasible iff optimum is 0
-        feas_cut = -1e-7 if tol else zero
-        if status != "optimal" or rows[m][ncols] < feas_cut:
+        # phase 1 maximizes -(sum of artificials) <= 0; feasible iff the
+        # optimum is 0.  An unbounded or positive phase 1 is impossible in
+        # exact arithmetic, so in float mode it means the tableau lost its
+        # precision and nothing can be concluded.
+        feas_cut = 1e-7 if tol else zero
+        value = rows[m][ncols]
+        if status == "unbounded" or value > feas_cut:
+            raise RuntimeError(
+                f"simplex phase 1 ended {status} at objective {value} "
+                f"(its optimum is at most 0): numerical failure")
+        if value < -feas_cut:
             return LpSolution("infeasible", None, None)
         rows.pop()
         dens.pop()

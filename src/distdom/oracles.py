@@ -20,7 +20,6 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 14
-    max_subset_size: int | None = None
     max_nodes: int = 10_000_000
 
 
@@ -63,14 +62,11 @@ def brute_gamma_r(g: Graph, r: int,
                   budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
     """Exact minimum r-dominating set by increasing-cardinality search."""
     _check_vertices(g, budget, "brute_gamma_r")
-    if g.n == 0:
-        return OracleResult(0, frozenset())
-    cap = budget.max_subset_size if budget.max_subset_size is not None else g.n
-    for size in range(1, cap + 1):
+    for size in range(1, g.n):
         witness = exists_r_dominating(g, r, size, budget)
         if witness is not None:
             return OracleResult(size, witness)
-    raise BudgetExceeded(f"no r-dominating set within subset-size cap {cap}")
+    return OracleResult(g.n, frozenset(range(g.n)))
 
 
 def _conflict_masks(g: Graph, r: int) -> list[int]:
@@ -91,7 +87,6 @@ def brute_alpha_2r(g: Graph, r: int,
     conf = _conflict_masks(g, r)
     best = [0, 0]
     nodes = [0]
-    cap = budget.max_subset_size
 
     def bound_count(mask: int) -> int:
         return mask.bit_count()
@@ -102,8 +97,6 @@ def brute_alpha_2r(g: Graph, r: int,
             raise BudgetExceeded("independence search exceeded node budget")
         if size > best[0]:
             best[0], best[1] = size, chosen
-        if cap is not None and size >= cap:
-            return
         if size + bound_count(cand) <= best[0]:
             return
         if not cand:

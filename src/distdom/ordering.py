@@ -110,7 +110,7 @@ def wcol_of_ordering(g: Graph, ordering: Ordering, k: int) -> int:
 
 def degeneracy(g: Graph) -> int:
     """Max over the peeling process of the minimum remaining degree."""
-    return _peel(g)[1]
+    return _peel(g.adj)[1]
 
 
 def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
@@ -121,7 +121,7 @@ def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
     degree, largest first.  input-order: the identity.
     """
     if strategy == "degeneracy":
-        return Ordering.from_rank_sequence(_peel(g)[0])
+        return Ordering.from_rank_sequence(_peel(g.adj)[0])
     if strategy == "descending-degree":
         seq = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         return Ordering.from_rank_sequence(seq)
@@ -130,18 +130,21 @@ def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
-def _peel(g: Graph) -> tuple[list[int], int]:
-    """Smallest-last peeling; returns (ordering front-to-back, degeneracy)."""
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
+def _peel(adj) -> tuple[list[int], int]:
+    """Smallest-last peeling of the graph on 0..len(adj)-1 with adjacency
+    adj: repeatedly remove a vertex of minimum remaining degree, ties to
+    the smallest id.  Returns (ordering front-to-back, degeneracy)."""
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    alive = [True] * n
     tail: list[int] = []
     d = 0
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], u))
+    for _ in range(n):
+        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
         d = max(d, deg[v])
         alive[v] = False
         tail.append(v)
-        for w in g.adj[v]:
+        for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
     tail.reverse()

@@ -6,7 +6,9 @@ kept) so the expensive LP solves run once.
 """
 import csv
 import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,31 @@ def test_criterion_09_augmentation_identity(corpus_runs):
         if inst.graph.n <= 200 and rep.aug_verified is not True:
             failures.append(f"{inst.id}: augmentation not verified")
     _verdict(9, "augmentation identity", failures)
+
+
+def test_corpus_reports_match_golden(corpus_runs):
+    """Every report field and every X_n/Y/Y1 set equals the stored reports.
+
+    Regenerate tests/data/corpus7_reports.jsonl, from the repository root,
+    only for a change that is meant to alter the pipeline's output:
+
+    PYTHONPATH=src python3 -c "import json; from distdom.chain import *
+    cfg = AnalyzeConfig(keep_sets=True)
+    for inst in default_corpus(7):
+        obj = json.loads(analyze(inst, cfg).to_json()); del obj['timings_ms']
+        print(json.dumps(obj, separators=(',', ':')))
+    " > tests/data/corpus7_reports.jsonl
+    """
+    path = Path(__file__).parent / "data" / "corpus7_reports.jsonl"
+    golden = [json.loads(line) for line in path.read_text().splitlines()]
+    actual = []
+    for _inst, rep in corpus_runs:
+        obj = json.loads(rep.to_json())
+        del obj["timings_ms"]
+        actual.append(obj)
+    assert [o["id"] for o in actual] == [o["id"] for o in golden]
+    for got, want in zip(actual, golden):
+        assert got == want, got["id"]
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -216,3 +216,34 @@ def test_cli_analyze_empty_graph(tmp_path, r, mode):
     obj = json.loads(out)
     assert obj["n"] == 0 and obj["all_ok"] == 1
     assert obj["w_2r"] == 0 and obj["xn"] == 0 and obj["y1"] == 0
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["r0", "negative-n", "budget-env",
+                                  "covering-hard-even", "missing-file"])
+def test_cli_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, path3, case):
+    graph = _write(tmp_path, "p3.json", to_json(path3))
+    if case == "r0":
+        argv, expect = ["analyze", graph, "--r", "0"], "r must be positive"
+    elif case == "negative-n":
+        argv = ["analyze", _write(tmp_path, "neg.col", "p edge -2 0\n")]
+        expect = "line 1: negative vertex count"
+    elif case == "budget-env":
+        monkeypatch.setenv("DISTDOM_BUDGET_VERTICES", "x")
+        argv, expect = ["analyze", graph], "DISTDOM_BUDGET_VERTICES"
+    elif case == "covering-hard-even":
+        argv = ["generate", "covering-hard", "--n", "4"]
+        expect = "n must be odd"
+    else:
+        argv = ["analyze", str(tmp_path / "missing.json")]
+        expect = "No such file"
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("distdom: error: ") and expect in err
+    assert err.count("\n") == 1
+

@@ -6,7 +6,7 @@ from distdom.graph import distance
 from distdom.instances import (ROLE_APEX, ROLE_HYPER_EDGE, ROLE_HYPER_VERTEX,
                                build_h_r, canonical_ordering, clique_hypergraph,
                                covering_hard_hypergraph, grid_graph,
-                               random_corpus, random_degenerate_graph)
+                               random_degenerate_graph)
 from distdom.ordering import wcol_of_ordering
 
 
@@ -102,14 +102,6 @@ def test_random_degenerate_deterministic():
     assert a.adj == b.adj
     c = random_degenerate_graph(20, 2, seed=10)[0]
     assert a.adj != c.adj
-
-
-def test_random_corpus_dispatch():
-    assert random_corpus(0, "grid", rows=2, cols=3).n == 6
-    assert random_corpus(4, "random-degenerate", n=12, d=2).n == 12
-    assert random_corpus(0, "subdivided-clique", n=3, r=1).n == 7
-    with pytest.raises(ValueError):
-        random_corpus(0, "nope")
 
 
 def test_construction_json():

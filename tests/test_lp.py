@@ -72,6 +72,15 @@ def test_infeasible_status():
     assert solve(prog, "float").status == "infeasible"
 
 
+def test_float_phase1_failure_raises():
+    # x = 1 is feasible, but the float tableau drifts until phase 1 reads
+    # "unbounded" (objective ~2e7, above its bound 0): that is a numerical
+    # failure, never a verdict of infeasibility
+    prog = domination_lp(grid_graph(4, 40), 2)
+    with pytest.raises(RuntimeError, match="phase 1"):
+        solve(prog, "float")
+
+
 def test_unbounded_status():
     prog = LinearProgram("max", (1,), ((((0, 1),), ">=", 0),), ((0, None),))
     assert solve(prog).status == "unbounded"
