@@ -3,11 +3,11 @@ the loop and distance-representation conditions, plus indegree statistics."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, _bfs
 from .ordering import Ordering, WeakReachProfile, weak_reach
 
 
@@ -124,47 +124,47 @@ class AugmentationReport:
 
 
 def verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationReport:
-    """Exhaustively check the loop and distance conditions.
+    """Check the loop and distance conditions for every pair of vertices.
 
     For every pair (u, v) and every r' <= r, distance_G(u, v) <= r' must
     hold iff some common inneighbor x has rho(xu) + rho(xv) <= r'.
-    Violations are reported as (u, v, r', direction) tuples.
+    Violations are reported as (u, v, r', direction) tuples, ordered by
+    (u, v).
+
+    Both sides are compared capped at r+1, and only values <= r are
+    stored: best[u] maps v to the least rho(xu) + rho(xv) <= r, and row u
+    of the distances is the BFS ball of radius r around u.  A pair absent
+    from both agrees at r+1, so every pair is still decided.  Each tail's
+    out-arcs are scanned in order of rho and the scan stops once a sum
+    exceeds r.  The cost is the number of arc pairs with a sum <= r plus
+    the sizes of the radius-r balls, instead of n^2.
     """
     if aug.base is not g:
         if aug.base.adj != g.adj or aug.base.n != g.n:
             raise ValueError("augmentation built over a different graph")
     n = g.n
     r = aug.r
+    cap = r + 1
     violations: list[tuple] = []
 
-    # truncated BFS distances, capped at r+1
-    capped_dist = [[r + 1] * n for _ in range(n)]
-    for s in range(n):
-        row = capped_dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            w = queue.popleft()
-            if row[w] == r:
-                continue
-            for x in g.adj[w]:
-                if row[x] > row[w] + 1:
-                    row[x] = row[w] + 1
-                    queue.append(x)
-
-    # best common-inneighbor length sum, capped at r+1
-    best = [[r + 1] * n for _ in range(n)]
-    out = aug.out_arcs()
-    for x in range(n):
-        for u, rho_u in out[x]:
+    best: list[dict[int, int]] = [{} for _ in range(n)]
+    for arcs in aug.out_arcs():
+        by_rho = sorted(arcs, key=itemgetter(1))
+        for u, rho_u in by_rho:
             row = best[u]
-            for v, rho_v in out[x]:
+            for v, rho_v in by_rho:
                 s = rho_u + rho_v
-                if s < row[v]:
+                if s > r:
+                    break
+                if s < row.get(v, cap):
                     row[v] = s
     for u in range(n):
-        for v in range(n):
-            d, b = capped_dist[u][v], best[u][v]
+        dist = _bfs(g, u, r)
+        row = best[u]
+        if dist == row:
+            continue
+        for v in sorted(dist.keys() | row.keys()):
+            d, b = dist.get(v, cap), row.get(v, cap)
             if d == b:
                 continue
             if b < d:

@@ -38,7 +38,6 @@ class DominationResult:
     lp_value: object  # sum of the rounded solution's x values
     valid: bool
     bound_ok: bool
-    sweep_trace: tuple[tuple[int, tuple[int, ...]], ...] | None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -50,20 +49,8 @@ class DominationResult:
         }, separators=(",", ":"))
 
 
-def _near_set_via_aug(aug: Augmentation, out, v: int, members: set[int]) -> bool:
-    """Is some vertex of members at distance <= r from v?  Decided by the
-    augmentation's distance condition: some u in members and v share an
-    inneighbor x with rho(xu)+rho(xv) <= r."""
-    for x, rho_v in aug.in_arcs[v]:
-        for u, rho_u in out[x]:
-            if u in members and rho_u + rho_v <= aug.r:
-                return True
-    return False
-
-
 def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
-                     sweep: Ordering, keep_trace: bool = False,
-                     cross_check: bool = False) -> DominationResult:
+                     sweep: Ordering) -> DominationResult:
     """Round a feasible fractional covering solution to an r-dominating set.
 
     Threshold step: X_0 = {v : x_v >= 1/a}.  Sweep step: visit vertices in
@@ -92,18 +79,9 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
 
     members = {v for v in range(g.n) if threshold_ok(x.values[v])}
     x0_size = len(members)
-    out = aug.out_arcs() if cross_check else None
-    trace: list[tuple[int, tuple[int, ...]]] = []
     for v in sweep.by_rank:
-        near = not balls[v].isdisjoint(members)
-        if cross_check:
-            assert near == _near_set_via_aug(aug, out, v, members)
-        if near:
-            continue
-        added = tuple([u for u, rho in aug.in_arcs[v] if rho <= r - 1])
-        members.update(added)
-        if keep_trace:
-            trace.append((v, added))
+        if balls[v].isdisjoint(members):
+            members.update([u for u, rho in aug.in_arcs[v] if rho <= r - 1])
 
     valid = all(balls[v] & members for v in range(g.n))
     lp_value = sum(x.values)
@@ -112,4 +90,4 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
     else:
         bound_ok = len(members) <= a * lp_value + FLOAT_TOL
     return DominationResult(frozenset(members), x0_size, a, lp_value,
-                            valid, bound_ok, tuple(trace) if keep_trace else None)
+                            valid, bound_ok)

@@ -1,6 +1,7 @@
 """Vertex orderings, weak k-accessibility sets and weak coloring numbers."""
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -133,19 +134,32 @@ def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
 def _peel(adj) -> tuple[list[int], int]:
     """Smallest-last peeling of the graph on 0..len(adj)-1 with adjacency
     adj: repeatedly remove a vertex of minimum remaining degree, ties to
-    the smallest id.  Returns (ordering front-to-back, degeneracy)."""
+    the smallest id.  Returns (ordering front-to-back, degeneracy).
+
+    A heap of (degree, id) entries with lazy deletion: a vertex gets a new
+    entry whenever its degree drops, and popped entries of removed
+    vertices are skipped.  Degrees only fall, so a live vertex's entry for
+    its current degree is smaller than its out-of-date ones and comes off
+    the heap first; the top live entry is therefore the least
+    (degree, id) pair.  O(m log n) for m edges.
+    """
     n = len(adj)
     deg = [len(a) for a in adj]
     alive = [True] * n
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapq.heapify(heap)
     tail: list[int] = []
     d = 0
-    for _ in range(n):
-        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        d = max(d, dv)
         alive[v] = False
         tail.append(v)
         for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     tail.reverse()
     return tail, d

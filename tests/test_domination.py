@@ -51,10 +51,9 @@ def test_concentrated_mass_star(star5):
     # integral LP mass: X_0 is already dominating, the sweep adds nothing
     aug = augment_from_ordering(star5, heuristic_ordering(star5), 1)
     x = LpSolution("optimal", (1, 0, 0, 0, 0), 1)
-    res = round_dominating(star5, aug, x, heuristic_ordering(star5),
-                           keep_trace=True)
+    res = round_dominating(star5, aug, x, heuristic_ordering(star5))
     assert res.vertices == {0}
-    assert res.sweep_trace == ()
+    assert res.x0_size == len(res.vertices)
 
 
 def test_infeasible_solution_rejected(cycle5):
@@ -77,7 +76,7 @@ def test_rounding_valid_and_bounded(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
     x = solve(domination_lp(g, r))
-    res = round_dominating(g, aug, x, ordering, cross_check=True)
+    res = round_dominating(g, aug, x, ordering)
     balls = all_balls(g, r)
     assert all(balls[v] & res.vertices for v in range(g.n))
     assert len(res.vertices) <= res.a * x.objective

@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdom.graph import from_edges
-from distdom.ordering import (Ordering, degeneracy, heuristic_ordering,
+from distdom.independence import _conflict_adjacency
+from distdom.ordering import (Ordering, _peel, degeneracy, heuristic_ordering,
                               wcol_of_ordering, weak_reach)
 from distdom.oracles import OracleBudget, brute_wcol
 
+from augment_reference import reference_peel
 from conftest import graphs, graphs_with_ordering
 
 
@@ -111,3 +113,38 @@ def test_q_sets_nested_and_leftward(cycle6):
             assert prof.q_set(v, k) <= prof.q_set(v, k + 1)
         for u in prof.q_set(v, 3):
             assert ordering.position[u] <= ordering.position[v]
+
+
+# the heap-based peeling against the linear-scan reference
+
+@st.composite
+def tie_heavy_adjacency(draw):
+    """Adjacency lists on 0..n-1, n = 0-12, neighbors in random order.
+    Circulant graphs (all degrees equal) under a random relabeling give
+    many degree ties."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        g = draw(graphs(min_n=n, max_n=n))
+    else:
+        steps = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+        perm = draw(st.permutations(list(range(n))))
+        g = from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n)
+                           for s in steps if (i + s) % n != i])
+    return [draw(st.permutations(list(a))) for a in g.adj]
+
+
+@given(tie_heavy_adjacency())
+@settings(max_examples=300, deadline=None)
+def test_peel_matches_reference(adj):
+    assert _peel(adj) == reference_peel(adj)
+
+
+@given(graphs(min_n=0, max_n=12), st.data(), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_peel_matches_reference_on_conflict_graphs(g, data, r):
+    # the index adjacency that sparsify_to_independent peels
+    ys = sorted(data.draw(st.sets(st.integers(0, max(0, g.n - 1)),
+                                  max_size=g.n)))
+    adj = _conflict_adjacency(g, ys, 2 * r)
+    assert _peel(adj) == reference_peel(adj)
+
