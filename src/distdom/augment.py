@@ -68,10 +68,15 @@ class IndegreeProfile:
 
 
 def indegree_profile(aug: Augmentation) -> IndegreeProfile:
-    deg = []
-    for rp in range(aug.r + 1):
-        deg.append(tuple([sum(1 for _, rho in arcs if rho <= rp)
-                          for arcs in aug.in_arcs]))
+    # one pass counts the in-arcs of each length; deg[r'] is then the
+    # prefix sum of those counts over lengths 0..r'
+    counts = [[0] * aug.n for _ in range(aug.r + 1)]
+    for v, arcs in enumerate(aug.in_arcs):
+        for _t, rho in arcs:
+            counts[rho][v] += 1
+    deg = [tuple(counts[0])]
+    for at_rho in counts[1:]:
+        deg.append(tuple([a + b for a, b in zip(deg[-1], at_rho)]))
     delta = tuple([max(row) if row else 1 for row in deg])
     return IndegreeProfile(aug.r, tuple(deg), delta)
 

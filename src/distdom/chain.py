@@ -1,4 +1,4 @@
-"""Pipeline orchestration: ordering -> augmentations -> LPs -> rounding ->
+"""Pipeline orchestration: ordering -> augmentations -> LP -> rounding ->
 independence extraction, aggregated into per-instance chain reports, plus
 the default benchmark corpus."""
 from __future__ import annotations
@@ -83,6 +83,7 @@ class ChainReport:
     dominating_valid: bool
     y_certified: bool
     y1_independent: bool
+    y_packs: bool  # y puts at most 1 (+ FLOAT_TOL) on every r-ball
     aug_verified: bool | None
     oracle_gamma: int | None
     oracle_alpha: int | None
@@ -110,7 +111,10 @@ class ChainReport:
                 tuple(self.delta_2r) == tuple(self.wcols[:2 * self.r + 1])
                 and (not self.aug_from_ordering
                      or tuple(self.delta_r) == tuple(self.wcols[:self.r + 1]))),
-            "duality_ok": abs(self.gamma_star - self.alpha_star) <= eq_tol,
+            # x covers every ball (round_dominating raises otherwise), y
+            # packs every ball, and their sums agree: both are optimal
+            "duality_ok": (self.y_packs and abs(self.gamma_star - self.alpha_star)
+                           <= eq_tol),
             "rounding_ok": self.xn_size <= self.b * self.gamma_star + eq_tol,
             "sparsify_ok": 2 * self.d * self.y1_size >= self.y_size,
         }
@@ -170,11 +174,6 @@ def _opt(v):
     return "" if v is None else v
 
 
-def _is_2r_independent(g: Graph, y, r: int) -> bool:
-    balls = all_balls(g, r)
-    return all(len(b & y) <= 1 for b in balls)
-
-
 def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> ChainReport:
     g, r = inst.graph, inst.r
     mode = cfg.mode or ("exact-rational" if g.n < EXACT_VERTEX_LIMIT else "float")
@@ -216,11 +215,16 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     k = prof_r.delta[r]
     d = b * prof_2r.delta[2 * r]
 
+    # one LP: the packing optimum y, and the covering optimum x read from
+    # its dual.  y must pack every ball; round_dominating checks that x
+    # covers every ball.
     t0 = time.perf_counter()
-    sol_x = lp.solve(lp.domination_lp(g, r), mode)
+    balls = all_balls(g, r)
     sol_y = lp.solve(lp.independence_lp(g, r), mode)
-    if sol_x.status != "optimal" or sol_y.status != "optimal":
-        raise RuntimeError(f"stage lp: solver returned {sol_x.status}/{sol_y.status}")
+    sol_x = lp.covering_from_packing(balls, sol_y)
+    tol = 0 if exact else lp.FLOAT_TOL
+    y_packs = all(sum([sol_y.values[u] for u in ball_v]) <= 1 + tol
+                  for ball_v in balls)
     stage("lp")
 
     t0 = time.perf_counter()
@@ -259,7 +263,8 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
         matching_strategy=strategy, exact_mode=exact,
         dominating_valid=dom.valid and dom.bound_ok,
         y_certified=cert.ok,
-        y1_independent=_is_2r_independent(g, y1, r),
+        y1_independent=all(len(ball_v & y1) <= 1 for ball_v in balls),
+        y_packs=y_packs,
         aug_verified=aug_verified,
         oracle_gamma=oracle_gamma, oracle_alpha=oracle_alpha,
         oracle_alpha_b=oracle_alpha_b,

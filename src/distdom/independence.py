@@ -39,13 +39,6 @@ class Hypergraph:
             "edges": [{"label": lab, "members": sorted(m)} for lab, m in self.edges],
         }, separators=(",", ":"))
 
-    @staticmethod
-    def from_json(text: str) -> "Hypergraph":
-        obj = json.loads(text)
-        return Hypergraph(int(obj["nv"]),
-                          tuple((e["label"], frozenset(e["members"]))
-                                for e in obj["edges"]))
-
 
 @dataclass(frozen=True)
 class BMatching:
@@ -200,23 +193,6 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
         raise ValueError(f"unknown matching strategy {strategy!r}")
     assert is_b_matching(h, selected, k)
     return BMatching(frozenset(selected), k)
-
-
-def out_bounded_set(g: Graph, aug: Augmentation,
-                    strategy: str = "threshold+greedy",
-                    packing_solution: LpSolution | None = None,
-                    mode: str = "exact-rational") -> VertexSet:
-    """A set Y in which every vertex of the augmentation has at most
-    k = Delta_r outneighbors, of size >= alpha*_2r / 2 with the exact
-    strategy.  Y = selected edge labels of a k-matching of the inneighbor
-    hypergraph, seeded from the ball-packing LP optimum."""
-    from .lp import independence_lp
-    if packing_solution is None:
-        packing_solution = solve(independence_lp(g, aug.r), mode)
-    h = inneighbor_hypergraph(aug)
-    k = indegree_profile(aug).delta[aug.r]
-    m = matching_solution_from_packing(h, packing_solution)
-    return frozenset(extract_kmatching(h, k, m, strategy).selected)
 
 
 @dataclass(frozen=True)

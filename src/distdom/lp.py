@@ -1,13 +1,13 @@
-"""Dense two-phase simplex (fraction-free exact or float) and the three
-problem-specific LP builders: ball covering, ball packing, b-matching."""
+"""Dense simplex from the slack basis (fraction-free exact or float), the
+ball covering and ball packing LP builders, and the covering optimum read
+from the packing dual."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as ratio
 from typing import Sequence
 
-from fractions import Fraction as ratio
-
-from .graph import Graph, all_balls
+from .graph import Graph, VertexSet, all_balls
 
 FLOAT_EPS = 1e-9  # zero test of the float simplex and of float thresholds
 FLOAT_TOL = 1e-6  # slack when float LP optima are compared or rounded
@@ -58,20 +58,26 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | unbounded
     values: tuple | None
     objective: object | None
+    # optimal dual: one value per constraint, then one per finite upper
+    # bound; sum(rhs_i * dual_i) over all of them equals the objective
+    dual: tuple | None = None
 
 
 def solve(lp: LinearProgram, mode: str = "exact-rational",
           max_pivots: int = 200_000) -> LpSolution:
-    """Optimal basic solution via two-phase tableau simplex: Dantzig
-    pricing, with Bland's anti-cycling rule after a run of degenerate
-    pivots.  Float mode uses tolerance FLOAT_EPS.  Exact-rational mode is
-    fraction-free: each tableau row is a list of ints over one positive
-    denominator, divided by their gcd after every elimination, so the
-    pivots build no rationals; it takes the pivots a tableau of exact
-    rationals would and returns the same rationals."""
+    """Optimal basic solution and its dual via tableau simplex from the
+    slack basis: Dantzig pricing, with Bland's anti-cycling rule after a
+    run of degenerate pivots.  The slack basis must be feasible, so every
+    constraint must be a "<=" row with rhs >= 0 (finite upper bounds are
+    such rows too); any other LP raises ValueError.  Float mode uses
+    tolerance FLOAT_EPS.  Exact-rational mode is fraction-free: each
+    tableau row is a list of ints over one positive denominator, divided by
+    their gcd after every elimination, so the pivots build no rationals; it
+    takes the pivots a tableau of exact rationals would and returns the
+    same rationals."""
     import math
 
     if mode in ("exact-rational", "exact"):
@@ -86,49 +92,59 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     gcd = math.gcd
 
     nvars = lp.nvars
-    # dense rows with rhs >= 0; finite upper bounds become extra <= rows
-    raw_rows: list[tuple[list, str, object]] = []
+    # dense rows; finite upper bounds become extra <= rows
+    raw_rows: list[tuple[list, object]] = []
     for coeffs, rel, rhs in lp.constraints:
+        if rel != "<=":
+            raise ValueError(f"solve starts from the slack basis: "
+                             f"a {rel!r} row has no feasible slack")
         row = [zero] * nvars
         for j, c in coeffs:
             row[j] = row[j] + conv(c)
-        raw_rows.append((row, rel, conv(rhs)))
+        raw_rows.append((row, conv(rhs)))
     for j, (_lo, hi) in enumerate(lp.bounds):
         if hi is not None:
             row = [zero] * nvars
             row[j] = one
-            raw_rows.append((row, "<=", conv(hi)))
-    for i, (row, rel, rhs) in enumerate(raw_rows):
-        if rhs < zero:
-            raw_rows[i] = ([-c for c in row], {"<=": ">=", ">=": "<="}[rel], -rhs)
+            raw_rows.append((row, conv(hi)))
+    if any(rhs < zero for _row, rhs in raw_rows):
+        raise ValueError("solve starts from the slack basis: "
+                         "a negative right-hand side has no feasible slack")
 
-    # columns: variables, one slack per row, one artificial per >= row; the
-    # last entry of every row is its rhs.  Row i stands for rows[i] / dens[i]
-    # and its basic column holds dens[i] (always 1 in float mode).
+    # columns: variables, then one slack per row; the last entry of every
+    # row is its rhs.  Row i stands for rows[i] / dens[i] and its basic
+    # column holds dens[i] (always 1 in float mode).  The objective row
+    # rows[m] holds z_j - c_j and, last, the current objective value.
     m = len(raw_rows)
-    first_art = nvars + m
-    ncols = first_art + sum(1 for _r, rel, _b in raw_rows if rel == ">=")
+    ncols = nvars + m
     rows: list[list] = []
     dens: list = []
-    basis: list[int] = []
-    art = first_art
-    for i, (row, rel, rhs) in enumerate(raw_rows):
+    for i, (row, rhs) in enumerate(raw_rows):
         den = one
         if exact:  # scale to integers
             den = math.lcm(rhs.denominator, *[c.denominator for c in row])
             row = [c.numerator * (den // c.denominator) for c in row]
             rhs = rhs.numerator * (den // rhs.denominator)
-        full = row + [zero] * (ncols - nvars) + [rhs]
-        if rel == "<=":
-            full[nvars + i] = den
-            basis.append(nvars + i)
-        else:
-            full[nvars + i] = -den
-            full[art] = den
-            basis.append(art)
-            art += 1
+        full = row + [zero] * m + [rhs]
+        full[nvars + i] = den
         rows.append(full)
         dens.append(den)
+    basis = list(range(nvars, ncols))
+    # maximize sign * objective; the slacks cost 0, so the row of -cost is
+    # already priced out against the slack basis
+    sign = one if lp.sense == "max" else -one
+    cost = [sign * conv(c) for c in lp.objective]
+    obj = [zero] * (ncols + 1)
+    den = one
+    if exact:
+        den = math.lcm(*[c.denominator for c in cost])
+        for j, c in enumerate(cost):
+            obj[j] = -c.numerator * (den // c.denominator)
+    else:
+        for j, c in enumerate(cost):
+            obj[j] = -c
+    rows.append(obj)
+    dens.append(den)
 
     def eliminate(i, e, prow, nz, p):
         # rows[i] -= rows[i][e] * prow / p, where prow[e] == p and nz lists
@@ -152,8 +168,8 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
         rows[i], dens[i] = row, den
 
     def pivot(r, e):
-        # make column e basic in row r; eliminates it from every other row
-        # of `rows`, the objective row included while one is appended
+        # make column e basic in row r and eliminate it from every other
+        # row, the objective row included
         prow = rows[r]
         p = prow[e]
         if exact:  # divide out the row's gcd, with the sign that makes p > 0
@@ -190,140 +206,84 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
                     leave, best_a, best_b = i, a, b
         return leave
 
-    pivots = 0
-
-    def run(ncand: int) -> str:
-        # maximize over candidate columns 0..ncand-1; the objective row
-        # rows[m] holds z_j - c_j and, last, the current objective value.
-        # Dantzig pricing normally; Bland's rule takes over after a run of
-        # degenerate (non-improving) pivots, which guarantees termination.
-        nonlocal pivots
-        stall = 0
-        while True:
-            obj = rows[m]
-            enter = -1
-            if stall < 20:
-                best_red = -tol
-                for j in range(ncand):
-                    if obj[j] < best_red:
-                        best_red = obj[j]
-                        enter = j
-            else:
-                for j in range(ncand):
-                    if obj[j] < -tol:
-                        enter = j
-                        break
-            if enter < 0:
-                return "optimal"
-            leave = leaving(enter)
-            if leave < 0:
-                return "unbounded"
-            pivots += 1
-            if pivots > max_pivots:
-                raise RuntimeError("simplex pivot limit exceeded")
-            f = obj[enter]
-            pivot(leave, enter)
-            gain = -f * rows[leave][ncols]
-            stall = 0 if gain > tol else stall + 1
-            basis[leave] = enter
-
-    def push_objective(cost: dict) -> None:
-        # append the objective row -cost, priced out against the basis
-        obj = [zero] * (ncols + 1)
-        den = one
-        if exact:
-            den = math.lcm(*[c.denominator for c in cost.values()])
-            for j, c in cost.items():
-                obj[j] = -c.numerator * (den // c.denominator)
+    # Dantzig pricing normally; Bland's rule takes over after a run of
+    # degenerate (non-improving) pivots, which guarantees termination.
+    pivots = stall = 0
+    while True:
+        obj = rows[m]
+        enter = -1
+        if stall < 20:
+            best_red = -tol
+            for j in range(ncols):
+                if obj[j] < best_red:
+                    best_red = obj[j]
+                    enter = j
         else:
-            for j, c in cost.items():
-                obj[j] = -c
-        rows.append(obj)
-        dens.append(den)
-        for i, b in enumerate(basis):
-            if obj[b] != zero:
-                row = rows[i]
-                eliminate(m, b, row, [(j, q) for j, q in enumerate(row)
-                                      if q != zero], dens[i])
-                obj = rows[m]
-
-    if ncols > first_art:
-        push_objective({j: -one for j in range(first_art, ncols)})
-        status = run(ncols)
-        # phase 1 maximizes -(sum of artificials) <= 0; feasible iff the
-        # optimum is 0.  An unbounded or positive phase 1 is impossible in
-        # exact arithmetic, so in float mode it means the tableau lost its
-        # precision and nothing can be concluded.
-        feas_cut = 1e-7 if tol else zero
-        value = rows[m][ncols]
-        if status == "unbounded" or value > feas_cut:
-            raise RuntimeError(
-                f"simplex phase 1 ended {status} at objective {value} "
-                f"(its optimum is at most 0): numerical failure")
-        if value < -feas_cut:
-            return LpSolution("infeasible", None, None)
-        rows.pop()
-        dens.pop()
-        # drive artificials out of the basis, drop redundant rows
-        for i in range(m - 1, -1, -1):
-            if basis[i] >= first_art:
-                piv_col = -1
-                for j in range(first_art):
-                    if abs(rows[i][j]) > tol:
-                        piv_col = j
-                        break
-                if piv_col < 0:
-                    del rows[i], dens[i], basis[i]
-                else:
-                    pivot(i, piv_col)
-                    basis[i] = piv_col
-        m = len(rows)
-        # artificial columns never enter again: drop them
-        rows = [row[:first_art] + row[ncols:] for row in rows]
-        ncols = first_art
-
-    sign = one if lp.sense == "max" else -one
-    push_objective({j: sign * conv(c) for j, c in enumerate(lp.objective)})
-    if run(ncols) == "unbounded":
-        return LpSolution("unbounded", None, None)
+            for j in range(ncols):
+                if obj[j] < -tol:
+                    enter = j
+                    break
+        if enter < 0:
+            break
+        leave = leaving(enter)
+        if leave < 0:
+            return LpSolution("unbounded", None, None)
+        pivots += 1
+        if pivots > max_pivots:
+            raise RuntimeError("simplex pivot limit exceeded")
+        f = obj[enter]
+        pivot(leave, enter)
+        gain = -f * rows[leave][ncols]
+        stall = 0 if gain > tol else stall + 1
+        basis[leave] = enter
 
     values = [ratio(0) if exact else zero] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
             values[b] = ratio(rows[i][ncols], dens[i]) if exact else rows[i][ncols]
     objective = sum(conv(c) * values[j] for j, c in enumerate(lp.objective))
-    return LpSolution("optimal", tuple(values), objective)
+    # the dual value of row i is the reduced cost of its slack
+    obj, den = rows[m], dens[m]
+    if exact:
+        dual = [sign * ratio(obj[j], den) for j in range(nvars, ncols)]
+    else:
+        dual = [sign * obj[j] for j in range(nvars, ncols)]
+    return LpSolution("optimal", tuple(values), objective, tuple(dual))
 
 
 # ---------------------------------------------------------------------------
 # LP builders
 
 
-def _dedup_rows(supports: Sequence[frozenset]) -> list[tuple[int, ...]]:
+def _ball_owners(balls: Sequence[VertexSet]) -> list[int]:
+    """The smallest vertex of each distinct ball of a ball table, in vertex
+    order.  Row i of both LP builders is the ball of owners[i]."""
     seen = set()
-    out = []
-    for s in supports:
-        key = frozenset(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(tuple(sorted(key)))
-    return out
+    owners = []
+    for v, ball_v in enumerate(balls):
+        if ball_v not in seen:
+            seen.add(ball_v)
+            owners.append(v)
+    return owners
 
 
 def domination_lp(g: Graph, r: int) -> LinearProgram:
     """min sum x_v subject to sum_{v in N_r[u]} x_v >= 1 for every u.
 
     Rows with identical balls are deduplicated; variables are untouched.
+    solve() cannot start this LP; covering_from_packing reads its optimum
+    from the dual of independence_lp.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    balls = all_balls(g, r)
     # Here and across the pipeline, tuples are built from lists, not from
     # generators.  CPython builds the latter by resizing a 10-slot tuple,
     # so it takes none from the free list of the final size but returns it
     # there when freed; the lists fill up, and only a full garbage
     # collection empties them.
-    rows = tuple([(tuple([(v, 1) for v in sup]), ">=", 1)
-                  for sup in _dedup_rows(all_balls(g, r))])
+    rows = tuple([(tuple([(v, 1) for v in sorted(balls[c])]), ">=", 1)
+                  for c in _ball_owners(balls)])
     return LinearProgram("min", (1,) * g.n, rows, ((0, None),) * g.n)
 
 
@@ -332,35 +292,29 @@ def independence_lp(g: Graph, r: int) -> LinearProgram:
     the exact dual of domination_lp over the same (symmetric) ball system."""
     if r < 1:
         raise ValueError("r must be positive")
-    rows = tuple([(tuple([(u, 1) for u in sup]), "<=", 1)
-                  for sup in _dedup_rows(all_balls(g, r))])
+    balls = all_balls(g, r)
+    rows = tuple([(tuple([(u, 1) for u in sorted(balls[c])]), "<=", 1)
+                  for c in _ball_owners(balls)])
     return LinearProgram("max", (1,) * g.n, rows, ((0, None),) * g.n)
 
 
-def bmatching_lp(h, b: int) -> LinearProgram:
-    """max sum m_e subject to sum_{e containing v} m_e <= b, 0 <= m_e <= 1.
-
-    Variables follow the hypergraph's edge order.
-    """
-    if b < 1:
-        raise ValueError("b must be positive")
-    ne = len(h.edges)
-    incident: dict[int, list[int]] = {}
-    for j, (_label, members) in enumerate(h.edges):
-        for v in members:
-            incident.setdefault(v, []).append(j)
-    rows = tuple([(tuple([(j, 1) for j in js]), "<=", b)
-                  for _v, js in sorted(incident.items())])
-    return LinearProgram("max", (1,) * ne, rows, ((0, 1),) * ne)
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text inequality dump for external cross-checking."""
-    lines = [f"{lp.sense} " + " + ".join(
-        f"{c}*v{j}" for j, c in enumerate(lp.objective) if c != 0)]
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = " + ".join(f"{c}*v{j}" if c != 1 else f"v{j}" for j, c in coeffs)
-        lines.append(f"{lhs} {rel} {rhs}")
-    for j, (_lo, hi) in enumerate(lp.bounds):
-        lines.append(f"0 <= v{j}" + (f" <= {hi}" if hi is not None else ""))
-    return "\n".join(lines) + "\n"
+def covering_from_packing(balls: Sequence[VertexSet],
+                          y: LpSolution) -> LpSolution:
+    """The covering optimum read from the dual of an optimal solution y of
+    independence_lp(g, r), where balls is all_balls(g, r): the dual value
+    z_B of ball row B goes to x_c, where c is the smallest vertex with
+    N_r[c] = B, and every other x_v is 0.  Balls are symmetric (c in N_r[u]
+    iff u in N_r[c]), so the balls of u's x-mass are exactly the rows that
+    contain u, and dual feasibility (their z sum to at least 1) is covering
+    feasibility.  The objective is sum(x) = sum(z), which is alpha* by
+    strong duality."""
+    if y.status != "optimal" or y.dual is None:
+        raise ValueError("need an optimal packing solution with its dual")
+    owners = _ball_owners(balls)
+    if len(y.dual) != len(owners) or len(y.values) != len(balls):
+        raise ValueError("the packing solution does not match the ball table")
+    zero = 0.0 if isinstance(y.objective, float) else ratio(0)
+    values = [zero] * len(balls)
+    for c, z in zip(owners, y.dual):
+        values[c] = z
+    return LpSolution("optimal", tuple(values), sum(values))

@@ -1,13 +1,14 @@
-"""Smallest-last peeling and the augmentation check before they became
-near-linear: a minimum over all live vertices at every peeling step, and
-two dense n x n tables compared pair by pair.  Kept as the reference that
-distdom.ordering._peel and distdom.augment.verify_augmentation must match
-element for element."""
+"""Smallest-last peeling, the augmentation check and the in-degree
+profile before they became near-linear: a minimum over all live vertices
+at every peeling step, two dense n x n tables compared pair by pair, and
+one pass over all arcs per length bound.  Kept as the reference that
+distdom.ordering._peel, distdom.augment.verify_augmentation and
+distdom.augment.indegree_profile must match element for element."""
 from __future__ import annotations
 
 from collections import deque
 
-from distdom.augment import Augmentation, AugmentationReport
+from distdom.augment import Augmentation, AugmentationReport, IndegreeProfile
 from distdom.graph import Graph
 
 
@@ -81,3 +82,12 @@ def reference_verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationRe
             else:
                 violations.append((u, v, d, "no common inneighbor within distance"))
     return AugmentationReport(not violations, tuple(violations))
+
+
+def reference_indegree_profile(aug: Augmentation) -> IndegreeProfile:
+    deg = []
+    for rp in range(aug.r + 1):
+        deg.append(tuple([sum(1 for _, rho in arcs if rho <= rp)
+                          for arcs in aug.in_arcs]))
+    delta = tuple([max(row) if row else 1 for row in deg])
+    return IndegreeProfile(aug.r, tuple(deg), delta)

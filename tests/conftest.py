@@ -17,6 +17,14 @@ def graphs(draw, min_n=1, max_n=8):
     return from_edges(n, edges)
 
 
+def cover(g, r, mode="exact-rational"):
+    """The covering optimum as analyze gets it: from the packing dual."""
+    from distdom.graph import all_balls
+    from distdom.lp import covering_from_packing, independence_lp, solve
+    return covering_from_packing(all_balls(g, r),
+                                 solve(independence_lp(g, r), mode))
+
+
 @st.composite
 def graphs_with_ordering(draw, min_n=1, max_n=8):
     from distdom.ordering import Ordering

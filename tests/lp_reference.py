@@ -1,7 +1,9 @@
-"""The simplex of distdom.lp before its exact mode went fraction-free:
-one tableau of exact rationals (fractions.Fraction) or of floats, dense
-eliminations.  Kept as the reference that distdom.lp.solve must match
-pivot for pivot."""
+"""The simplex of distdom.lp before its exact mode went fraction-free and
+lost its phase 1: one two-phase tableau of exact rationals
+(fractions.Fraction) or of floats, dense eliminations.  Kept as the
+reference that distdom.lp.solve must match pivot for pivot, and as the
+solver of LPs that solve cannot start, such as the covering LP.  Also the
+b-matching LP builder, which only the tests use."""
 from __future__ import annotations
 
 from fractions import Fraction as ratio
@@ -174,3 +176,20 @@ def reference_solve(lp: LinearProgram, mode: str = "exact-rational",
             values[b] = rows[i][ncols]
     objective = sum(conv(c) * values[j] for j, c in enumerate(lp.objective))
     return LpSolution("optimal", tuple(values), objective)
+
+
+def bmatching_lp(h, b: int) -> LinearProgram:
+    """max sum m_e subject to sum_{e containing v} m_e <= b, 0 <= m_e <= 1.
+
+    Variables follow the hypergraph's edge order.
+    """
+    if b < 1:
+        raise ValueError("b must be positive")
+    ne = len(h.edges)
+    incident: dict[int, list[int]] = {}
+    for j, (_label, members) in enumerate(h.edges):
+        for v in members:
+            incident.setdefault(v, []).append(j)
+    rows = tuple([(tuple([(j, 1) for j in js]), "<=", b)
+                  for _v, js in sorted(incident.items())])
+    return LinearProgram("max", (1,) * ne, rows, ((0, 1),) * ne)

@@ -9,7 +9,8 @@ from distdom.graph import from_edges
 from distdom.instances import random_degenerate_graph
 from distdom.ordering import Ordering, degeneracy, heuristic_ordering, weak_reach
 
-from augment_reference import reference_peel, reference_verify_augmentation
+from augment_reference import (reference_indegree_profile, reference_peel,
+                               reference_verify_augmentation)
 from conftest import graphs_with_ordering
 
 
@@ -157,6 +158,14 @@ def test_verify_matches_reference_on_perturbed(ga):
     assert verify_augmentation(g, aug) == reference_verify_augmentation(g, aug)
 
 
+@given(graphs_with_ordering(max_n=9), st.integers(1, 4), perturbed_augmentations())
+@settings(max_examples=200, deadline=None)
+def test_indegree_profile_matches_reference(gw, r, ga):
+    g, ordering = gw
+    for aug in (augment_from_ordering(g, ordering, r), ga[1]):
+        assert indegree_profile(aug) == reference_indegree_profile(aug)
+
+
 def test_large_degenerate_graph_matches_reference():
     g, _ = random_degenerate_graph(600, 2, 11)
     order, d = reference_peel(g.adj)
@@ -165,6 +174,7 @@ def test_large_degenerate_graph_matches_reference():
     assert degeneracy(g) == d
     aug = augment_from_ordering(g, ordering, 2)
     assert verify_augmentation(g, aug) == reference_verify_augmentation(g, aug)
+    assert indegree_profile(aug) == reference_indegree_profile(aug)
     # every 40th vertex loses its non-loop in-arcs
     arcs = tuple(((v, 0),) if v % 40 == 0 else a for v, a in enumerate(aug.in_arcs))
     broken = Augmentation(g, 2, arcs)

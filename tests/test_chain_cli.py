@@ -87,6 +87,29 @@ def test_broken_report_fails(cycle5, small_cfg):
     assert not bad.all_ok()
 
 
+def test_duality_needs_packing_certificate(cycle5, small_cfg):
+    import dataclasses
+    rep = analyze(CorpusInstance("c5", cycle5, 1), small_cfg)
+    assert rep.y_packs and rep.inequalities()["duality_ok"]
+    bad = dataclasses.replace(rep, y_packs=False)
+    assert not bad.inequalities()["duality_ok"]
+    assert not bad.all_ok()
+
+
+def test_float_grid_4x40_r2(tmp_path):
+    # its covering LP once ended float phase 1 in a numerical failure;
+    # the packing LP starts from the slack basis and its dual covers
+    g = grid_graph(4, 40)
+    rep = analyze(CorpusInstance("grid-4x40", g, 2), AnalyzeConfig(mode="float"))
+    assert not rep.exact_mode
+    assert rep.all_ok(), rep.inequalities()
+    path = tmp_path / "grid.json"
+    path.write_text(to_json(g))
+    code, out, err = _run(["analyze", str(path), "--r", "2", "--no-exact"])
+    assert code == 0, err
+    assert json.loads(out)["all_ok"] == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -6,11 +6,12 @@ from distdom.augment import (augment_from_ordering, indegree_profile,
                              orientation_augmentation)
 from distdom.domination import guarantee_factor, round_dominating
 from distdom.graph import all_balls, from_edges
-from distdom.lp import LpSolution, domination_lp, ratio, solve
+from distdom.lp import LpSolution, domination_lp, ratio
 from distdom.oracles import OracleBudget, brute_gamma_r
 from distdom.ordering import heuristic_ordering
 
-from conftest import graphs
+from conftest import cover, graphs
+from lp_reference import reference_solve
 
 
 def test_guarantee_factor_orientation_case():
@@ -75,7 +76,8 @@ def test_non_optimal_solution_rejected(cycle5):
 def test_rounding_valid_and_bounded(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
-    x = solve(domination_lp(g, r))
+    # a basic optimum of the covering LP itself, not the dual's
+    x = reference_solve(domination_lp(g, r))
     res = round_dominating(g, aug, x, ordering)
     balls = all_balls(g, r)
     assert all(balls[v] & res.vertices for v in range(g.n))
@@ -87,7 +89,7 @@ def test_rounding_valid_and_bounded(g, r):
 def test_oracle_sandwich(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
-    x = solve(domination_lp(g, r))
+    x = cover(g, r)
     res = round_dominating(g, aug, x, ordering)
     gamma = brute_gamma_r(g, r, OracleBudget(max_vertices=8)).value
     assert gamma <= len(res.vertices) <= res.a * gamma
@@ -95,7 +97,7 @@ def test_oracle_sandwich(g, r):
 
 def test_float_mode_rounding(cycle5):
     aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
-    x = solve(domination_lp(cycle5, 1), "float")
+    x = cover(cycle5, 1, "float")
     res = round_dominating(cycle5, aug, x, heuristic_ordering(cycle5))
     assert res.valid and res.bound_ok
 
@@ -103,7 +105,7 @@ def test_float_mode_rounding(cycle5):
 def test_result_json(cycle5):
     import json
     aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
-    res = round_dominating(cycle5, aug, solve(domination_lp(cycle5, 1)),
+    res = round_dominating(cycle5, aug, cover(cycle5, 1),
                            heuristic_ordering(cycle5))
     obj = json.loads(res.to_json())
     assert obj["valid"] and obj["bound_ok"]

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from distdom.augment import augment_from_ordering
 from distdom.chain import default_corpus
-from distdom.graph import from_edges
+from distdom.graph import all_balls, from_edges
 from distdom.independence import Hypergraph, inneighbor_hypergraph
 from distdom.instances import build_h_r, clique_hypergraph, grid_graph
-from distdom.lp import (LinearProgram, bmatching_lp, ceil_ratio, domination_lp,
-                        dump_lp, independence_lp, ratio, solve)
+from distdom.lp import (LinearProgram, ceil_ratio, covering_from_packing,
+                        domination_lp, independence_lp, ratio, solve)
 from distdom.ordering import heuristic_ordering
 
-from conftest import graphs
-from lp_reference import reference_solve
+from conftest import cover, graphs
+from lp_reference import bmatching_lp, reference_solve
 
 
 def clique(n):
@@ -28,7 +28,7 @@ def test_trivial_bounded_max():
 
 def test_single_vertex_cover():
     g = from_edges(1, [])
-    assert solve(domination_lp(g, 1)).objective == 1
+    assert cover(g, 1).values == (1,)
 
 
 def test_triangle_hypergraph_fractional_matching(triangle_hypergraph):
@@ -43,13 +43,14 @@ def test_single_edge_matching():
 
 
 def test_c5_domination(cycle5):
-    assert solve(domination_lp(cycle5, 1)).objective == ratio(5, 3)
+    assert reference_solve(domination_lp(cycle5, 1)).objective == ratio(5, 3)
     assert solve(independence_lp(cycle5, 1)).objective == ratio(5, 3)
+    assert cover(cycle5, 1).objective == ratio(5, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_clique_domination(n):
-    assert solve(domination_lp(clique(n), 1)).objective == 1
+    assert cover(clique(n), 1).objective == 1
 
 
 def test_edgeless_independence():
@@ -62,56 +63,44 @@ def test_clique_construction_lp_window(n, r):
     # n/2 from the half-weight packing on V(K_n); n/2 + 1 from the
     # apex-plus-edges cover
     g = build_h_r(clique_hypergraph(n), r).graph
-    value = solve(domination_lp(g, r)).objective
+    value = cover(g, r).objective
     assert ratio(n, 2) <= value <= ratio(n, 2) + 1
 
 
-def test_infeasible_status():
-    prog = LinearProgram("max", (1,), ((((0, -1),), ">=", 1),), ((0, None),))
-    assert solve(prog).status == "infeasible"
-    assert solve(prog, "float").status == "infeasible"
-
-
-def test_float_phase1_failure_raises():
-    # x = 1 is feasible, but the float tableau drifts until phase 1 reads
-    # "unbounded" (objective ~2e7, above its bound 0): that is a numerical
-    # failure, never a verdict of infeasibility
-    prog = domination_lp(grid_graph(4, 40), 2)
-    with pytest.raises(RuntimeError, match="phase 1"):
-        solve(prog, "float")
-
-
 def test_unbounded_status():
-    prog = LinearProgram("max", (1,), ((((0, 1),), ">=", 0),), ((0, None),))
+    prog = LinearProgram("max", (1,), ((((0, -1),), "<=", 0),), ((0, None),))
     assert solve(prog).status == "unbounded"
+    assert solve(prog, "float").status == "unbounded"
 
 
 def test_float_mode_matches_exact(cycle5):
-    exact = solve(domination_lp(cycle5, 1)).objective
-    approx = solve(domination_lp(cycle5, 1), "float").objective
+    exact = cover(cycle5, 1).objective
+    approx = cover(cycle5, 1, "float").objective
     assert abs(approx - float(exact)) <= 1e-6
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))
 @settings(max_examples=50, deadline=None)
 def test_strong_duality(g, r):
-    cover = solve(domination_lp(g, r))
+    # one packing solve gives both optima, and they equal the covering
+    # optimum of an independent two-phase solve
     packing = solve(independence_lp(g, r))
-    assert cover.status == packing.status == "optimal"
-    assert cover.objective == packing.objective
+    x = covering_from_packing(all_balls(g, r), packing)
+    assert packing.status == x.status == "optimal"
+    assert x.objective == packing.objective == sum(packing.dual)
+    assert x.objective == reference_solve(domination_lp(g, r)).objective
 
 
-@given(graphs(min_n=1, max_n=6), st.integers(1, 2))
+@given(graphs(min_n=1, max_n=7), st.integers(1, 2))
 @settings(max_examples=30, deadline=None)
 def test_solutions_are_feasible(g, r):
-    from distdom.graph import all_balls
     balls = all_balls(g, r)
-    x = solve(domination_lp(g, r)).values
-    y = solve(independence_lp(g, r)).values
+    y = solve(independence_lp(g, r))
+    x = covering_from_packing(balls, y).values
     for v in range(g.n):
         assert sum(x[u] for u in balls[v]) >= 1
-        assert sum(y[u] for u in balls[v]) <= 1
-        assert x[v] >= 0 and y[v] >= 0
+        assert sum(y.values[u] for u in balls[v]) <= 1
+        assert x[v] >= 0 and y.values[v] >= 0
 
 
 def test_kmatching_scaling_property(triangle_hypergraph):
@@ -138,15 +127,11 @@ def test_dedup_keeps_optimum():
     # all balls identical on a clique: one surviving row must not change
     # the optimum
     g = clique(4)
-    prog = domination_lp(g, 1)
-    assert len(prog.constraints) == 1
-    assert solve(prog).objective == 1
-
-
-def test_dump_lp(cycle5):
-    text = dump_lp(domination_lp(cycle5, 1))
-    assert text.splitlines()[0].startswith("min")
-    assert ">= 1" in text
+    assert len(domination_lp(g, 1).constraints) == 1
+    assert len(independence_lp(g, 1).constraints) == 1
+    assert reference_solve(domination_lp(g, 1)).objective == 1
+    # the one dual value goes to the smallest vertex of the shared ball
+    assert cover(g, 1).values == (1, 0, 0, 0)
 
 
 def test_rejects_malformed_programs():
@@ -155,7 +140,7 @@ def test_rejects_malformed_programs():
     with pytest.raises(ValueError):
         LinearProgram("max", (1,), ((((3, 1),), "<=", 1),), ((0, None),))
     with pytest.raises(ValueError):
-        solve(domination_lp(from_edges(1, []), 1), "nope")
+        solve(independence_lp(from_edges(1, []), 1), "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +188,22 @@ def _assert_same_as_reference(prog, mode):
 
 _numbers = st.one_of(st.integers(-3, 3),
                      st.fractions(-3, 3, max_denominator=4))
+_nonnegative = st.one_of(st.integers(0, 3),
+                         st.fractions(0, 3, max_denominator=4))
 
 
 @st.composite
 def linear_programs(draw):
-    """Small LPs of either sense with mixed relations, negative and
-    fractional data, repeated variables in a row and upper bounds."""
+    """Small LPs of either sense with <= rows, negative and fractional
+    coefficients, right-hand sides >= 0, repeated variables in a row and
+    upper bounds: the LPs solve can start from the slack basis."""
     nvars = draw(st.integers(1, 4))
     constraints = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = tuple(draw(st.lists(
             st.tuples(st.integers(0, nvars - 1), _numbers),
             min_size=1, max_size=nvars + 1)))
-        constraints.append((coeffs, draw(st.sampled_from(["<=", ">="])),
-                            draw(_numbers)))
+        constraints.append((coeffs, "<=", draw(_nonnegative)))
     bounds = tuple((0, draw(st.one_of(st.none(), st.integers(0, 3),
                                       st.fractions(0, 3, max_denominator=3))))
                    for _ in range(nvars))
@@ -227,13 +214,15 @@ def linear_programs(draw):
 
 _INFEASIBLE = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), "<=", -1),),
                             ((0, None),) * 2)
+_COVERING = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), ">=", 1),),
+                          ((0, None),) * 2)
+_NEGATIVE_BOUND = LinearProgram("max", (1,), ((((0, 1),), "<=", 1),),
+                                ((0, -1),))
 _UNBOUNDED = LinearProgram("max", (1, Fraction(-1, 2)),
                            ((((0, 1), (1, -2)), "<=", 3),), ((0, None),) * 2)
 
 
 @given(linear_programs(), st.sampled_from(["exact-rational", "float"]))
-@example(_INFEASIBLE, "exact-rational")
-@example(_INFEASIBLE, "float")
 @example(_UNBOUNDED, "exact-rational")
 @example(_UNBOUNDED, "float")
 @settings(max_examples=300, deadline=None)
@@ -242,8 +231,41 @@ def test_solve_matches_reference(prog, mode):
 
 
 def test_reference_examples_cover_every_status():
-    assert solve(_INFEASIBLE).status == "infeasible"
     assert solve(_UNBOUNDED).status == "unbounded"
+    assert reference_solve(_INFEASIBLE).status == "infeasible"
+
+
+@pytest.mark.parametrize("prog", [_INFEASIBLE, _COVERING, _NEGATIVE_BOUND],
+                         ids=["negative-rhs", "ge-row", "negative-bound"])
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+def test_rejects_lp_without_slack_start(prog, mode):
+    # the slack basis of these LPs is infeasible; solve has no phase 1
+    with pytest.raises(ValueError, match="slack basis"):
+        solve(prog, mode)
+
+
+@given(linear_programs())
+@settings(max_examples=200, deadline=None)
+def test_dual_certifies_optimum(prog):
+    # maximizing s * objective (s = -1 for min), w = s * dual is a feasible
+    # dual of that max LP with the same value: w >= 0, every column of
+    # [A; I_bounded]^T w is at least s * c_j, and rhs . w = s * optimum
+    sol = solve(prog)
+    if sol.status != "optimal":
+        return
+    s = 1 if prog.sense == "max" else -1
+    rows = [(coeffs, rhs) for coeffs, _rel, rhs in prog.constraints]
+    rows += [(((j, 1),), hi) for j, (_lo, hi) in enumerate(prog.bounds)
+             if hi is not None]
+    assert len(sol.dual) == len(rows)
+    w = [s * z for z in sol.dual]
+    assert all(wi >= 0 for wi in w)
+    column = [0] * prog.nvars
+    for (coeffs, _rhs), wi in zip(rows, w):
+        for j, a in coeffs:
+            column[j] += a * wi
+    assert all(column[j] >= s * c for j, c in enumerate(prog.objective))
+    assert sum(rhs * wi for (_c, rhs), wi in zip(rows, w)) == s * sol.objective
 
 
 # corpus instances whose reference solves take well under a second
@@ -254,14 +276,14 @@ _FAST_CORPUS = [inst for inst in default_corpus(7) if inst.graph.n <= 25]
 def test_builders_match_reference_on_corpus(inst):
     g, r = inst.graph, inst.r
     h = inneighbor_hypergraph(augment_from_ordering(g, heuristic_ordering(g), r))
-    for prog in (domination_lp(g, r), independence_lp(g, r), bmatching_lp(h, 2)):
+    for prog in (independence_lp(g, r), bmatching_lp(h, 2)):
         _assert_same_as_reference(prog, "exact-rational")
 
 
 def test_float_mode_bit_identical_to_reference():
     g = grid_graph(2, 30)
-    for prog in (domination_lp(g, 1), independence_lp(g, 1)):
-        got, ref = solve(prog, "float"), reference_solve(prog, "float")
-        assert got.status == ref.status == "optimal"
-        assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]
-        assert got.objective.hex() == ref.objective.hex()
+    prog = independence_lp(g, 1)
+    got, ref = solve(prog, "float"), reference_solve(prog, "float")
+    assert got.status == ref.status == "optimal"
+    assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]
+    assert got.objective.hex() == ref.objective.hex()
