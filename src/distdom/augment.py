@@ -2,7 +2,6 @@
 the loop and distance-representation conditions, plus indegree statistics."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
@@ -178,16 +177,3 @@ def verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationReport:
                 violations.append((u, v, d, "no common inneighbor within distance"))
     return AugmentationReport(not violations, tuple(violations))
 
-
-def aug_to_json(aug: Augmentation) -> str:
-    arcs = [[t, v, rho] for v, alist in enumerate(aug.in_arcs) for t, rho in alist]
-    arcs.sort()
-    return json.dumps({"r": aug.r, "arcs": arcs}, separators=(",", ":"))
-
-
-def aug_from_json(g: Graph, text: str) -> Augmentation:
-    obj = json.loads(text)
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for t, v, rho in obj["arcs"]:
-        arcs[v].append((t, rho))
-    return Augmentation(g, int(obj["r"]), tuple(tuple(sorted(a)) for a in arcs))

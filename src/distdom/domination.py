@@ -1,11 +1,13 @@
-"""LP rounding for distance-r dominating sets with a checked size guarantee."""
+"""LP rounding for distance-r dominating sets, and the factor a of its
+size guarantee |X_n| <= a * sum(x)."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .augment import Augmentation, IndegreeProfile, indegree_profile
-from .graph import Graph, VertexSet, all_balls
+from .augment import Augmentation, IndegreeProfile
+from .augment import indegree_profile  # unused; a patch point of perfbench/tracer.py
+from .graph import VertexSet
+from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
 from .lp import FLOAT_EPS, FLOAT_TOL, LpSolution, ratio
 from .ordering import Ordering
 
@@ -34,25 +36,15 @@ def guarantee_factor(profile: IndegreeProfile, r: int) -> GuaranteeFactor:
 class DominationResult:
     vertices: VertexSet  # X_n
     x0_size: int
-    a: int
-    lp_value: object  # sum of the rounded solution's x values
-    valid: bool
-    bound_ok: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "set": sorted(self.vertices),
-            "a": self.a,
-            "lp_value": str(self.lp_value),
-            "valid": self.valid,
-            "bound_ok": self.bound_ok,
-        }, separators=(",", ":"))
+    valid: bool  # X_n meets every ball
 
 
-def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
-                     sweep: Ordering) -> DominationResult:
+def round_dominating(balls: list[VertexSet], aug: Augmentation, a: int,
+                     x: LpSolution, sweep: Ordering) -> DominationResult:
     """Round a feasible fractional covering solution to an r-dominating set.
 
+    balls is the ball table all_balls(g, r) with r = aug.r, and a is the
+    rounding factor guarantee_factor(indegree_profile(aug), r).a.
     Threshold step: X_0 = {v : x_v >= 1/a}.  Sweep step: visit vertices in
     the given order; whenever v_i has no current member within distance r,
     add every inneighbor u of v_i with rho(u v_i) <= r-1 (v_i itself comes
@@ -60,34 +52,27 @@ def round_dominating(g: Graph, aug: Augmentation, x: LpSolution,
     """
     if x.status != "optimal" or x.values is None:
         raise ValueError(f"cannot round a solution with status {x.status}")
-    if len(x.values) != g.n:
-        raise ValueError("solution size does not match graph")
+    n = len(balls)
+    if len(x.values) != n:
+        raise ValueError("solution size does not match the ball table")
     r = aug.r
     exact = not isinstance(x.objective, float)
 
-    balls = all_balls(g, r)
-    for u in range(g.n):
+    for u in range(n):
         total = sum(x.values[v] for v in balls[u])
         if (exact and total < 1) or (not exact and total < 1 - FLOAT_TOL):
             raise ValueError(f"infeasible solution: ball of {u} covered by {total}")
 
-    a = guarantee_factor(indegree_profile(aug), r).a
     if exact:
         threshold_ok = lambda xv: xv >= ratio(1, a)
     else:
         threshold_ok = lambda xv: xv >= 1 / a - FLOAT_EPS
 
-    members = {v for v in range(g.n) if threshold_ok(x.values[v])}
+    members = {v for v in range(n) if threshold_ok(x.values[v])}
     x0_size = len(members)
     for v in sweep.by_rank:
         if balls[v].isdisjoint(members):
             members.update([u for u, rho in aug.in_arcs[v] if rho <= r - 1])
 
-    valid = all(balls[v] & members for v in range(g.n))
-    lp_value = sum(x.values)
-    if exact:
-        bound_ok = len(members) <= a * lp_value
-    else:
-        bound_ok = len(members) <= a * lp_value + FLOAT_TOL
-    return DominationResult(frozenset(members), x0_size, a, lp_value,
-                            valid, bound_ok)
+    valid = all(balls[v] & members for v in range(n))
+    return DominationResult(frozenset(members), x0_size, valid)

@@ -123,14 +123,8 @@ def all_balls(g: Graph, r: int) -> list[VertexSet]:
 
 
 def ball_masks(g: Graph, r: int) -> list[int]:
-    """Balls as bitmasks, for subset-search oracles and LP builders."""
-    masks = []
-    for v in range(g.n):
-        mask = 0
-        for u in ball(g, v, r):
-            mask |= 1 << u
-        masks.append(mask)
-    return masks
+    """all_balls(g, r) as bitmasks, for the subset-search oracles."""
+    return [sum([1 << u for u in ball_v]) for ball_v in all_balls(g, r)]
 
 
 def parse_graph(data: bytes | str, fmt: str) -> Graph:

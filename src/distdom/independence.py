@@ -2,11 +2,12 @@
 followed by degeneracy-coloring sparsification to 2r-independent sets."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .augment import Augmentation, indegree_profile
-from .graph import Graph, VertexSet, all_balls, ball
+from .augment import Augmentation
+from .augment import indegree_profile  # unused; a patch point of perfbench/tracer.py
+from .graph import VertexSet
+from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
 from .lp import FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, ratio, solve
 from .ordering import _peel
 
@@ -32,12 +33,6 @@ class Hypergraph:
                 raise ValueError(f"edge {lab} is empty")
             if any(not 0 <= v < self.nv for v in members):
                 raise ValueError(f"edge {lab} has out-of-range members")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "nv": self.nv,
-            "edges": [{"label": lab, "members": sorted(m)} for lab, m in self.edges],
-        }, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -163,14 +158,14 @@ def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set) -> set:
 
 
 def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
-                      strategy: str = "threshold+greedy",
-                      max_edges_exact: int = EXACT_MATCHING_MAX_EDGES) -> BMatching:
+                      strategy: str = "threshold+greedy") -> BMatching:
     """Integral k-matching from a feasible fractional 1-matching.
 
     threshold keeps edges with m_e >= 1/k (always a valid k-matching);
     threshold+greedy extends that greedily; exact runs branch-and-bound
     for a maximum k-matching, which is guaranteed at least half of the
-    fractional 1-matching optimum.
+    fractional 1-matching optimum, and refuses hypergraphs of more than
+    EXACT_MATCHING_MAX_EDGES edges.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -184,9 +179,10 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
     elif strategy == "threshold+greedy":
         selected = _greedy_extend(h, k, selected)
     elif strategy == "exact":
-        if len(h.edges) > max_edges_exact:
+        if len(h.edges) > EXACT_MATCHING_MAX_EDGES:
             raise MatchingBudgetExceeded(
-                f"exact strategy refused: {len(h.edges)} edges > {max_edges_exact}")
+                f"exact strategy refused: {len(h.edges)} edges > "
+                f"{EXACT_MATCHING_MAX_EDGES}")
         selected = _greedy_extend(h, k, selected)
         selected = _exact_max_kmatching(h, k, selected)
     else:
@@ -200,49 +196,55 @@ class IndependenceCertificate:
     ok: bool
     worst_vertex: int | None
     count: int
-    witness_counts: tuple[int, ...]
 
 
-def certify_2rb_independent(g: Graph, y: VertexSet, r: int,
+def certify_2rb_independent(balls: list[VertexSet], y: VertexSet,
                             b: int) -> IndependenceCertificate:
-    """ok iff every ball N_r[v] contains at most b members of y."""
-    counts = tuple([len(ball_v & y) for ball_v in all_balls(g, r)])
+    """ok iff every ball of the table balls = all_balls(g, r) contains at
+    most b members of y."""
+    counts = [len(ball_v & y) for ball_v in balls]
     if not counts:
-        return IndependenceCertificate(True, None, 0, ())
-    worst = max(range(g.n), key=lambda v: counts[v])
-    return IndependenceCertificate(counts[worst] <= b, worst, counts[worst], counts)
+        return IndependenceCertificate(True, None, 0)
+    worst = max(range(len(counts)), key=counts.__getitem__)
+    return IndependenceCertificate(counts[worst] <= b, worst, counts[worst])
 
 
-def _conflict_adjacency(g: Graph, ys: list[int], r2: int) -> list[list[int]]:
+def _conflict_adjacency(balls: list[VertexSet], ys: list[int]) -> list[set[int]]:
     """Conflict graph on the indices of ys: i and j are adjacent when
-    ys[i] and ys[j] are at distance <= 2r."""
+    ys[i] and ys[j] are at distance <= 2r, that is, when some ball of the
+    table balls = all_balls(g, r) holds both (the middle vertex of a
+    shortest path is within r of each end)."""
     index = {v: i for i, v in enumerate(ys)}
-    return [[index[w] for w in ball(g, v, r2) if w != v and w in index]
-            for v in ys]
+    members = frozenset(ys)
+    adj: list[set[int]] = [set() for _ in ys]
+    for ball_v in balls:
+        hit = [index[v] for v in ball_v & members]
+        if len(hit) > 1:
+            for i in hit:
+                adj[i].update(hit)
+    for i, nbrs in enumerate(adj):
+        nbrs.discard(i)
+    return adj
 
 
-def sparsify_to_independent(g: Graph, aug2r: Augmentation, y: VertexSet,
-                            b: int) -> VertexSet:
+def sparsify_to_independent(balls: list[VertexSet], y: VertexSet, b: int,
+                            d: int) -> VertexSet:
     """Largest color class of a degeneracy coloring of the conflict graph.
 
-    With d = b * Delta_2r the conflict graph is (2d-1)-degenerate, so the
-    coloring uses at most 2d colors and the result has size >= |y| / (2d)
-    and pairwise distances > 2r.
+    balls is the ball table all_balls(g, r), y must be (2r,b)-independent
+    and d = b * Delta_2r.  The conflict graph is then (2d-1)-degenerate,
+    so the coloring uses at most 2d colors and the result has size
+    >= |y| / (2d) and pairwise distances > 2r.
     """
-    r2 = aug2r.r
-    if r2 % 2 != 0:
-        raise ValueError("sparsification needs an augmentation of even radius 2r")
-    r = r2 // 2
-    cert = certify_2rb_independent(g, y, r, b)
+    cert = certify_2rb_independent(balls, y, b)
     if not cert.ok:
         raise ValueError(
             f"y is not (2r,{b})-independent: ball of {cert.worst_vertex} "
             f"meets it {cert.count} times")
     if not y:
         return frozenset()
-    d = b * indegree_profile(aug2r).delta[r2]
     ys = sorted(y)
-    adj = _conflict_adjacency(g, ys, r2)
+    adj = _conflict_adjacency(balls, ys)
 
     # smallest-last coloring; indices follow ys, so ties go to the smallest id
     color: dict[int, int] = {}

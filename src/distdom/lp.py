@@ -7,19 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction as ratio
 from typing import Sequence
 
-from .graph import Graph, VertexSet, all_balls
+from .graph import VertexSet
+from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
 
 FLOAT_EPS = 1e-9  # zero test of the float simplex and of float thresholds
 FLOAT_TOL = 1e-6  # slack when float LP optima are compared or rounded
-
-
-def ceil_ratio(x) -> int:
-    """Ceiling of an exact rational (or float)."""
-    if isinstance(x, float):
-        import math
-        return math.ceil(x - FLOAT_EPS)
-    num, den = x.numerator, x.denominator
-    return -((-num) // den)
 
 
 @dataclass(frozen=True)
@@ -267,16 +259,15 @@ def _ball_owners(balls: Sequence[VertexSet]) -> list[int]:
     return owners
 
 
-def domination_lp(g: Graph, r: int) -> LinearProgram:
-    """min sum x_v subject to sum_{v in N_r[u]} x_v >= 1 for every u.
+def domination_lp(balls: Sequence[VertexSet]) -> LinearProgram:
+    """min sum x_v subject to sum_{v in N_r[u]} x_v >= 1 for every u, over
+    the ball table balls = all_balls(g, r).
 
     Rows with identical balls are deduplicated; variables are untouched.
     solve() cannot start this LP; covering_from_packing reads its optimum
     from the dual of independence_lp.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    balls = all_balls(g, r)
+    n = len(balls)
     # Here and across the pipeline, tuples are built from lists, not from
     # generators.  CPython builds the latter by resizing a 10-slot tuple,
     # so it takes none from the free list of the final size but returns it
@@ -284,24 +275,22 @@ def domination_lp(g: Graph, r: int) -> LinearProgram:
     # collection empties them.
     rows = tuple([(tuple([(v, 1) for v in sorted(balls[c])]), ">=", 1)
                   for c in _ball_owners(balls)])
-    return LinearProgram("min", (1,) * g.n, rows, ((0, None),) * g.n)
+    return LinearProgram("min", (1,) * n, rows, ((0, None),) * n)
 
 
-def independence_lp(g: Graph, r: int) -> LinearProgram:
+def independence_lp(balls: Sequence[VertexSet]) -> LinearProgram:
     """max sum y_u subject to sum_{u in N_r[v]} y_u <= 1 for every v;
-    the exact dual of domination_lp over the same (symmetric) ball system."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    balls = all_balls(g, r)
+    the exact dual of domination_lp over the same (symmetric) ball table."""
+    n = len(balls)
     rows = tuple([(tuple([(u, 1) for u in sorted(balls[c])]), "<=", 1)
                   for c in _ball_owners(balls)])
-    return LinearProgram("max", (1,) * g.n, rows, ((0, None),) * g.n)
+    return LinearProgram("max", (1,) * n, rows, ((0, None),) * n)
 
 
 def covering_from_packing(balls: Sequence[VertexSet],
                           y: LpSolution) -> LpSolution:
     """The covering optimum read from the dual of an optimal solution y of
-    independence_lp(g, r), where balls is all_balls(g, r): the dual value
+    independence_lp(balls), where balls is all_balls(g, r): the dual value
     z_B of ball row B goes to x_c, where c is the smallest vertex with
     N_r[c] = B, and every other x_v is 0.  Balls are symmetric (c in N_r[u]
     iff u in N_r[c]), so the balls of u's x-mass are exactly the rows that

@@ -37,19 +37,20 @@ def _check_vertices(g: Graph, budget: OracleBudget, what: str) -> None:
             f"{what}: {g.n} vertices exceed budget {budget.max_vertices}")
 
 
-def exists_r_dominating(g: Graph, r: int, size: int,
+def exists_r_dominating(masks: list[int], size: int,
                         budget: OracleBudget = DEFAULT_BUDGET) -> frozenset | None:
-    """Smallest-witness search over subsets of exactly the given size;
-    returns a dominating witness or None.  Usable beyond the full-oracle
-    vertex budget since only C(n, size) subsets are touched."""
-    masks = ball_masks(g, r)
-    full = (1 << g.n) - 1
-    if size >= g.n:
-        return frozenset(range(g.n))
-    nodes = math.comb(g.n, size)
+    """Smallest-witness search over subsets of exactly the given size of a
+    graph with ball bitmasks masks = ball_masks(g, r); returns a dominating
+    witness or None.  Usable beyond the full-oracle vertex budget since
+    only C(n, size) subsets are touched."""
+    n = len(masks)
+    full = (1 << n) - 1
+    if size >= n:
+        return frozenset(range(n))
+    nodes = math.comb(n, size)
     if nodes > budget.max_nodes:
         raise BudgetExceeded(f"{nodes} candidate subsets exceed node budget")
-    for comb in combinations(range(g.n), size):
+    for comb in combinations(range(n), size):
         acc = 0
         for v in comb:
             acc |= masks[v]
@@ -62,8 +63,9 @@ def brute_gamma_r(g: Graph, r: int,
                   budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
     """Exact minimum r-dominating set by increasing-cardinality search."""
     _check_vertices(g, budget, "brute_gamma_r")
+    masks = ball_masks(g, r)
     for size in range(1, g.n):
-        witness = exists_r_dominating(g, r, size, budget)
+        witness = exists_r_dominating(masks, size, budget)
         if witness is not None:
             return OracleResult(size, witness)
     return OracleResult(g.n, frozenset(range(g.n)))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,9 +30,6 @@ class Ordering:
             out[p] = v
         return tuple(out)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.by_rank))
-
     @staticmethod
     def from_rank_sequence(seq) -> "Ordering":
         seq = list(seq)
@@ -41,10 +37,6 @@ class Ordering:
         for rank, v in enumerate(seq):
             pos[v] = rank
         return Ordering(tuple(pos))
-
-    @staticmethod
-    def from_json(text: str) -> "Ordering":
-        return Ordering.from_rank_sequence(json.loads(text))
 
 
 @dataclass(frozen=True)

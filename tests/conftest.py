@@ -22,7 +22,7 @@ def cover(g, r, mode="exact-rational"):
     from distdom.graph import all_balls
     from distdom.lp import covering_from_packing, independence_lp, solve
     return covering_from_packing(all_balls(g, r),
-                                 solve(independence_lp(g, r), mode))
+                                 solve(independence_lp(all_balls(g, r)), mode))
 
 
 @st.composite

@@ -14,10 +14,10 @@ import pytest
 
 from distdom.chain import AnalyzeConfig, analyze, default_corpus
 from distdom.cli import main
-from distdom.graph import distance
+from distdom.graph import all_balls, ball_masks, distance
 from distdom.instances import (build_h_r, canonical_ordering,
                                clique_hypergraph, covering_hard_hypergraph)
-from distdom.lp import ceil_ratio, domination_lp, independence_lp, solve
+from distdom.lp import domination_lp, independence_lp, solve
 from distdom.oracles import OracleBudget, brute_alpha_2r, exists_r_dominating
 from distdom.ordering import wcol_of_ordering
 
@@ -47,8 +47,8 @@ def test_criterion_01_duality(corpus_runs):
             failures.append(f"{inst.id}: duality certificate failed")
         # gamma* came from the packing dual; an independent two-phase
         # covering solve and a float packing solve must agree with it
-        fx = reference_solve(domination_lp(inst.graph, inst.r), "float")
-        fy = solve(independence_lp(inst.graph, inst.r), "float")
+        fx = reference_solve(domination_lp(all_balls(inst.graph, inst.r)), "float")
+        fy = solve(independence_lp(all_balls(inst.graph, inst.r)), "float")
         for name, value in (("covering", fx.objective), ("packing", fy.objective)):
             if abs(value - rep.gamma_star) > 1e-6:
                 failures.append(f"{inst.id}: float {name} {value} != {rep.gamma_star}")
@@ -96,7 +96,7 @@ def test_criterion_04_independence_guarantee(corpus_runs):
         if rep.matching_strategy != "exact":
             continue
         seen += 1
-        if rep.y_size < ceil_ratio(rep.alpha_star / 2):
+        if rep.y_size < math.ceil(rep.alpha_star / 2):
             failures.append(f"{inst.id}: |Y|={rep.y_size} < ceil(alpha*/2)")
         if not rep.y_certified:
             failures.append(f"{inst.id}: (2r,b)-independence certificate failed")
@@ -130,8 +130,9 @@ def test_criterion_06_construction_bounds(corpus_runs):
             tag = f"K{n}^({r})"
             if brute_alpha_2r(g, r, budget).value != 2:
                 failures.append(f"{tag}: alpha_2r != 2")
+            masks = ball_masks(g, r)
             for size in range(1, math.ceil(n / 2)):
-                if exists_r_dominating(g, r, size) is not None:
+                if exists_r_dominating(masks, size) is not None:
                     failures.append(f"{tag}: dominating set of size {size}")
             ordering = canonical_ordering(c)
             if wcol_of_ordering(g, ordering, 2 * r - 1) > r * r - r + 4:
@@ -153,8 +154,9 @@ def test_criterion_07_unbounded_gap(corpus_runs):
         g = c.graph
         tag = f"covering-hard({n})"
         lower = (n + 1) // 2
+        masks = ball_masks(g, 1)
         for size in range(1, lower):
-            if exists_r_dominating(g, 1, size) is not None:
+            if exists_r_dominating(masks, size) is not None:
                 failures.append(f"{tag}: dominating set of size {size}")
         value = lp_values[f"covering-hard-n{n}-r1"]
         if value > 3:

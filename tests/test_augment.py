@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdom.augment import (Augmentation, aug_from_json, aug_to_json,
-                             augment_from_ordering, indegree_profile,
-                             orientation_augmentation, verify_augmentation)
+from distdom.augment import (Augmentation, augment_from_ordering,
+                             indegree_profile, orientation_augmentation,
+                             verify_augmentation)
 from distdom.graph import from_edges
 from distdom.instances import random_degenerate_graph
 from distdom.ordering import Ordering, degeneracy, heuristic_ordering, weak_reach
@@ -114,11 +114,6 @@ def test_verify_reports_sum_violation(path3):
     report = verify_augmentation(path3, Augmentation(path3, 1, arcs))
     assert not report.ok
     assert (0, 2, 1, "inneighbor-sum below distance") in report.violations
-
-
-def test_json_round_trip(cycle6):
-    aug = augment_from_ordering(cycle6, heuristic_ordering(cycle6), 2)
-    assert aug_from_json(cycle6, aug_to_json(aug)).in_arcs == aug.in_arcs
 
 
 # the sparse check against the dense reference

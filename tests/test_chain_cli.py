@@ -5,6 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from distdom import augment, chain, domination, independence, lp
+from distdom.augment import AugmentationReport
 from distdom.chain import (CSV_COLUMNS, AnalyzeConfig, CorpusInstance, analyze,
                            default_corpus, verify_chain)
 from distdom.cli import CSV_HEADER_COMMENT, main
@@ -94,6 +96,58 @@ def test_duality_needs_packing_certificate(cycle5, small_cfg):
     bad = dataclasses.replace(rep, y_packs=False)
     assert not bad.inequalities()["duality_ok"]
     assert not bad.all_ok()
+
+
+@pytest.mark.parametrize("inst_id", ["rdeg-d2-n14-r1", "cycle6-r2"])
+def test_analyze_builds_each_table_once(monkeypatch, small_cfg, inst_id):
+    # the r-ball table and the two in-degree profiles are built once, in
+    # analyze, and every later stage reads them; counted through the module
+    # attributes perfbench/tracer.py patches
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            key = f"{module.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (chain, lp, domination, independence):
+        count(module, "all_balls")
+    for module in (chain, augment, domination, independence):
+        count(module, "indegree_profile")
+    inst = next(i for i in default_corpus(7) if i.id == inst_id)
+    assert analyze(inst, small_cfg).all_ok()
+    assert calls == {"distdom.chain.all_balls": 1,
+                     "distdom.chain.indegree_profile": 2}
+
+
+def test_augmentation_violation_is_reported(tmp_path, monkeypatch, cycle5,
+                                            small_cfg):
+    failing = AugmentationReport(
+        False, ((0, 2, 1, "inneighbor-sum below distance"),))
+    monkeypatch.setattr(chain, "verify_augmentation", lambda g, aug: failing)
+    rep = analyze(CorpusInstance("c5", cycle5, 1), small_cfg)
+    assert rep.aug_verified is False and not rep.all_ok()
+
+    path = tmp_path / "c5.json"
+    path.write_text(to_json(cycle5))
+    code, out, _ = _run(["analyze", str(path)])
+    obj = json.loads(out)
+    assert code == 1 and obj["aug_verified"] == 0 and obj["all_ok"] == 0
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c5.json").write_text(to_json(cycle5))
+    out_csv = tmp_path / "report.csv"
+    code, _, err = _run(["verify-chain", "--corpus", str(corpus),
+                         "--out", str(out_csv)])
+    assert code == 1 and json.loads(err)["id"] == "c5"
+    rows = list(csv.reader(io.StringIO(out_csv.read_text())))[2:]
+    assert [row[0] for row in rows] == ["c5"]
+    assert rows[0][CSV_COLUMNS.index("aug_verified")] == "0"
 
 
 def test_float_grid_4x40_r2(tmp_path):

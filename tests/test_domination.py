@@ -38,21 +38,27 @@ def test_guarantee_factor_edgeless():
     assert guarantee_factor(prof, 1).a == 1
 
 
+def _round(g, aug, x, ordering):
+    """round_dominating with the ball table and factor analyze passes."""
+    a = guarantee_factor(indegree_profile(aug), aug.r).a
+    return round_dominating(all_balls(g, aug.r), aug, a, x, ordering), a
+
+
 def test_c5_uniform_rounding(cycle5):
     # hand-run: a = 3, threshold 1/3 puts every vertex in X_0
     aug = orientation_augmentation(cycle5, [(i, (i + 1) % 5) for i in range(5)])
     x = LpSolution("optimal", (ratio(1, 3),) * 5, ratio(5, 3))
-    res = round_dominating(cycle5, aug, x, heuristic_ordering(cycle5))
+    res, a = _round(cycle5, aug, x, heuristic_ordering(cycle5))
     assert res.x0_size == 5 and res.vertices == frozenset(range(5))
-    assert res.a == 3 and res.valid and res.bound_ok
-    assert len(res.vertices) <= 3 * res.lp_value
+    assert a == 3 and res.valid
+    assert len(res.vertices) <= a * x.objective
 
 
 def test_concentrated_mass_star(star5):
     # integral LP mass: X_0 is already dominating, the sweep adds nothing
     aug = augment_from_ordering(star5, heuristic_ordering(star5), 1)
     x = LpSolution("optimal", (1, 0, 0, 0, 0), 1)
-    res = round_dominating(star5, aug, x, heuristic_ordering(star5))
+    res, _a = _round(star5, aug, x, heuristic_ordering(star5))
     assert res.vertices == {0}
     assert res.x0_size == len(res.vertices)
 
@@ -61,14 +67,14 @@ def test_infeasible_solution_rejected(cycle5):
     aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
     x = LpSolution("optimal", (ratio(1, 10),) * 5, ratio(1, 2))
     with pytest.raises(ValueError, match="infeasible"):
-        round_dominating(cycle5, aug, x, heuristic_ordering(cycle5))
+        _round(cycle5, aug, x, heuristic_ordering(cycle5))
 
 
 def test_non_optimal_solution_rejected(cycle5):
     aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
     with pytest.raises(ValueError):
-        round_dominating(cycle5, aug, LpSolution("infeasible", None, None),
-                         heuristic_ordering(cycle5))
+        _round(cycle5, aug, LpSolution("infeasible", None, None),
+               heuristic_ordering(cycle5))
 
 
 @given(graphs(min_n=1, max_n=8), st.integers(1, 2))
@@ -76,12 +82,13 @@ def test_non_optimal_solution_rejected(cycle5):
 def test_rounding_valid_and_bounded(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
-    # a basic optimum of the covering LP itself, not the dual's
-    x = reference_solve(domination_lp(g, r))
-    res = round_dominating(g, aug, x, ordering)
     balls = all_balls(g, r)
+    # a basic optimum of the covering LP itself, not the dual's
+    x = reference_solve(domination_lp(balls))
+    res, a = _round(g, aug, x, ordering)
+    assert res.valid
     assert all(balls[v] & res.vertices for v in range(g.n))
-    assert len(res.vertices) <= res.a * x.objective
+    assert len(res.vertices) <= a * x.objective
 
 
 @given(graphs(min_n=1, max_n=8), st.integers(1, 2))
@@ -90,23 +97,14 @@ def test_oracle_sandwich(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
     x = cover(g, r)
-    res = round_dominating(g, aug, x, ordering)
+    res, a = _round(g, aug, x, ordering)
     gamma = brute_gamma_r(g, r, OracleBudget(max_vertices=8)).value
-    assert gamma <= len(res.vertices) <= res.a * gamma
+    assert gamma <= len(res.vertices) <= a * gamma
 
 
 def test_float_mode_rounding(cycle5):
     aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
     x = cover(cycle5, 1, "float")
-    res = round_dominating(cycle5, aug, x, heuristic_ordering(cycle5))
-    assert res.valid and res.bound_ok
-
-
-def test_result_json(cycle5):
-    import json
-    aug = augment_from_ordering(cycle5, heuristic_ordering(cycle5), 1)
-    res = round_dominating(cycle5, aug, cover(cycle5, 1),
-                           heuristic_ordering(cycle5))
-    obj = json.loads(res.to_json())
-    assert obj["valid"] and obj["bound_ok"]
-    assert sorted(obj["set"]) == sorted(res.vertices)
+    res, a = _round(cycle5, aug, x, heuristic_ordering(cycle5))
+    assert res.valid
+    assert len(res.vertices) <= a * x.objective + 1e-6

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdom.graph import (GraphParseError, ball, distance, edges, from_edges,
-                           parse_graph, to_json)
+from distdom.graph import (GraphParseError, ball, ball_masks, distance, edges,
+                           from_edges, parse_graph, to_json)
 from distdom.instances import build_h_r, clique_hypergraph
 
 from conftest import graphs
@@ -96,8 +96,10 @@ def test_json_round_trip(g):
 @given(graphs(), st.integers(0, 3))
 @settings(max_examples=60)
 def test_ball_matches_distance_filter(g, r):
+    masks = ball_masks(g, r)
     for v in range(g.n):
         assert ball(g, v, r) == naive_ball(g, v, r)
+        assert masks[v] == sum(1 << u for u in naive_ball(g, v, r))
 
 
 @given(graphs(), st.integers(0, 3))

@@ -1,15 +1,18 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdom.augment import augment_from_ordering, indegree_profile
-from distdom.graph import distance, from_edges
-from distdom.independence import (Hypergraph, MatchingBudgetExceeded,
+from distdom.graph import all_balls, distance, from_edges
+from distdom.independence import (EXACT_MATCHING_MAX_EDGES, Hypergraph,
+                                  MatchingBudgetExceeded, _conflict_adjacency,
                                   certify_2rb_independent, extract_kmatching,
                                   inneighbor_hypergraph, is_b_matching,
                                   matching_solution_from_packing,
                                   sparsify_to_independent)
-from distdom.lp import LpSolution, ceil_ratio, independence_lp, ratio, solve
+from distdom.lp import LpSolution, independence_lp, ratio, solve
 from distdom.oracles import (OracleBudget, brute_alpha_2r, brute_alpha_2rb,
                              brute_bmatching)
 from distdom.ordering import heuristic_ordering
@@ -72,10 +75,22 @@ def test_exact_triangle(triangle_hypergraph):
     assert len(bm2.selected) == brute_bmatching(triangle_hypergraph, 2).value == 3
 
 
-def test_exact_respects_edge_budget(triangle_hypergraph):
-    m = solve(bmatching_lp(triangle_hypergraph, 1))
-    with pytest.raises(MatchingBudgetExceeded):
-        extract_kmatching(triangle_hypergraph, 1, m, "exact", max_edges_exact=2)
+def _disjoint_edges(ne):
+    h = Hypergraph(ne, tuple([(j, frozenset({j})) for j in range(ne)]))
+    return h, LpSolution("optimal", (1,) * ne, ne)
+
+
+def test_exact_respects_edge_budget():
+    ne = EXACT_MATCHING_MAX_EDGES + 1
+    h, m = _disjoint_edges(ne)
+    with pytest.raises(MatchingBudgetExceeded, match=f"{ne} edges"):
+        extract_kmatching(h, 1, m, "exact")
+
+
+def test_exact_accepts_budget_edges():
+    h, m = _disjoint_edges(EXACT_MATCHING_MAX_EDGES)
+    bm = extract_kmatching(h, 1, m, "exact")
+    assert len(bm.selected) == EXACT_MATCHING_MAX_EDGES
 
 
 def test_unknown_strategy(triangle_hypergraph):
@@ -87,29 +102,35 @@ def test_unknown_strategy(triangle_hypergraph):
 def test_exact_at_least_half_fractional_c5(cycle5):
     ordering = heuristic_ordering(cycle5)
     aug = augment_from_ordering(cycle5, ordering, 1)
-    pack = solve(independence_lp(cycle5, 1))
+    pack = solve(independence_lp(all_balls(cycle5, 1)))
     y = out_bounded_set(aug, "exact", pack)
-    assert len(y) >= ceil_ratio(pack.objective / 2)
+    assert len(y) >= math.ceil(pack.objective / 2)
 
 
 def test_certify_c6(cycle6):
     # frozen oracle value: alpha_{2,2}(C6) = 4
     assert brute_alpha_2rb(cycle6, 1, 2).value == 4
-    cert = certify_2rb_independent(cycle6, frozenset({0, 1, 3, 4}), 1, 2)
+    balls = all_balls(cycle6, 1)
+    cert = certify_2rb_independent(balls, frozenset({0, 1, 3, 4}), 2)
     assert cert.ok and cert.count == 2
-    bad = certify_2rb_independent(cycle6, frozenset({0, 1, 2}), 1, 2)
+    bad = certify_2rb_independent(balls, frozenset({0, 1, 2}), 2)
     assert not bad.ok and bad.worst_vertex == 1 and bad.count == 3
 
 
 def test_certify_empty():
     g = from_edges(0, [])
-    assert certify_2rb_independent(g, frozenset(), 1, 1).ok
+    assert certify_2rb_independent(all_balls(g, 1), frozenset(), 1).ok
+
+
+def _delta_2r(g, r):
+    aug2 = augment_from_ordering(g, heuristic_ordering(g), 2 * r)
+    return indegree_profile(aug2).delta[2 * r]
 
 
 def test_sparsify_c6(cycle6):
-    aug2 = augment_from_ordering(cycle6, heuristic_ordering(cycle6), 2)
     y = frozenset({0, 1, 3, 4})
-    y1 = sparsify_to_independent(cycle6, aug2, y, 2)
+    y1 = sparsify_to_independent(all_balls(cycle6, 1), y, 2,
+                                 2 * _delta_2r(cycle6, 1))
     assert y1 and y1 <= y
     for u in y1:
         for v in y1:
@@ -117,15 +138,21 @@ def test_sparsify_c6(cycle6):
 
 
 def test_sparsify_rejects_uncertified(cycle6):
-    aug2 = augment_from_ordering(cycle6, heuristic_ordering(cycle6), 2)
     with pytest.raises(ValueError, match="independent"):
-        sparsify_to_independent(cycle6, aug2, frozenset(range(6)), 1)
+        sparsify_to_independent(all_balls(cycle6, 1), frozenset(range(6)), 1,
+                                _delta_2r(cycle6, 1))
 
 
-def test_sparsify_needs_even_radius(cycle6):
-    aug1 = augment_from_ordering(cycle6, heuristic_ordering(cycle6), 1)
-    with pytest.raises(ValueError, match="even"):
-        sparsify_to_independent(cycle6, aug1, frozenset({0}), 1)
+@given(graphs(min_n=0, max_n=10), st.data(), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_conflict_adjacency_is_distance_2r(g, data, r):
+    # two members share an r-ball iff they are at distance <= 2r
+    ys = sorted(data.draw(st.sets(st.integers(0, max(0, g.n - 1)),
+                                  max_size=g.n)))
+    adj = _conflict_adjacency(all_balls(g, r), ys)
+    for i, u in enumerate(ys):
+        assert adj[i] == {j for j, v in enumerate(ys)
+                          if j != i and distance(g, u, v) <= 2 * r}
 
 
 def test_hypergraph_validation():
@@ -137,14 +164,6 @@ def test_hypergraph_validation():
         Hypergraph(2, ((0, frozenset({5})),))
 
 
-def test_hypergraph_json(triangle_hypergraph):
-    import json
-    assert json.loads(triangle_hypergraph.to_json()) == {
-        "nv": 3, "edges": [{"label": 0, "members": [0, 1]},
-                           {"label": 1, "members": [1, 2]},
-                           {"label": 2, "members": [0, 2]}]}
-
-
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2),
        st.sampled_from(["threshold", "threshold+greedy", "exact"]))
 @settings(max_examples=40, deadline=None)
@@ -152,17 +171,19 @@ def test_pipeline_properties(g, r, strategy):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
     aug2 = augment_from_ordering(g, ordering, 2 * r)
+    balls = all_balls(g, r)
     k = indegree_profile(aug).delta[r]
-    pack = solve(independence_lp(g, r))
+    pack = solve(independence_lp(balls))
     y = out_bounded_set(aug, strategy, pack)
     h = inneighbor_hypergraph(aug)
     assert is_b_matching(h, y, k)
     if strategy == "exact":
-        assert len(y) >= ceil_ratio(pack.objective / 2)
+        assert len(y) >= math.ceil(pack.objective / 2)
     # certified against b = any upper bound on per-ball hits; use the
     # brute count itself to keep the property tight
-    b = max((certify_2rb_independent(g, y, r, g.n).count, 1))
-    y1 = sparsify_to_independent(g, aug2, y, b)
+    b = max((certify_2rb_independent(balls, y, g.n).count, 1))
+    y1 = sparsify_to_independent(balls, y, b,
+                                 b * indegree_profile(aug2).delta[2 * r])
     for u in y1:
         for v in y1:
             assert u == v or distance(g, u, v) > 2 * r

@@ -9,7 +9,7 @@ from distdom.chain import default_corpus
 from distdom.graph import all_balls, from_edges
 from distdom.independence import Hypergraph, inneighbor_hypergraph
 from distdom.instances import build_h_r, clique_hypergraph, grid_graph
-from distdom.lp import (LinearProgram, ceil_ratio, covering_from_packing,
+from distdom.lp import (LinearProgram, covering_from_packing,
                         domination_lp, independence_lp, ratio, solve)
 from distdom.ordering import heuristic_ordering
 
@@ -43,8 +43,8 @@ def test_single_edge_matching():
 
 
 def test_c5_domination(cycle5):
-    assert reference_solve(domination_lp(cycle5, 1)).objective == ratio(5, 3)
-    assert solve(independence_lp(cycle5, 1)).objective == ratio(5, 3)
+    assert reference_solve(domination_lp(all_balls(cycle5, 1))).objective == ratio(5, 3)
+    assert solve(independence_lp(all_balls(cycle5, 1))).objective == ratio(5, 3)
     assert cover(cycle5, 1).objective == ratio(5, 3)
 
 
@@ -55,7 +55,7 @@ def test_clique_domination(n):
 
 def test_edgeless_independence():
     g = from_edges(6, [])
-    assert solve(independence_lp(g, 2)).objective == 6
+    assert solve(independence_lp(all_balls(g, 2))).objective == 6
 
 
 @pytest.mark.parametrize("n,r", [(4, 1), (4, 2), (5, 1)])
@@ -84,18 +84,18 @@ def test_float_mode_matches_exact(cycle5):
 def test_strong_duality(g, r):
     # one packing solve gives both optima, and they equal the covering
     # optimum of an independent two-phase solve
-    packing = solve(independence_lp(g, r))
+    packing = solve(independence_lp(all_balls(g, r)))
     x = covering_from_packing(all_balls(g, r), packing)
     assert packing.status == x.status == "optimal"
     assert x.objective == packing.objective == sum(packing.dual)
-    assert x.objective == reference_solve(domination_lp(g, r)).objective
+    assert x.objective == reference_solve(domination_lp(all_balls(g, r))).objective
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))
 @settings(max_examples=30, deadline=None)
 def test_solutions_are_feasible(g, r):
     balls = all_balls(g, r)
-    y = solve(independence_lp(g, r))
+    y = solve(independence_lp(all_balls(g, r)))
     x = covering_from_packing(balls, y).values
     for v in range(g.n):
         assert sum(x[u] for u in balls[v]) >= 1
@@ -117,19 +117,13 @@ def test_kmatching_scaling_property(triangle_hypergraph):
     assert all(c <= k for c in counts.values())
 
 
-def test_ceil_ratio():
-    assert ceil_ratio(ratio(5, 3)) == 2
-    assert ceil_ratio(ratio(4, 2)) == 2
-    assert ceil_ratio(1.2) == 2
-
-
 def test_dedup_keeps_optimum():
     # all balls identical on a clique: one surviving row must not change
     # the optimum
     g = clique(4)
-    assert len(domination_lp(g, 1).constraints) == 1
-    assert len(independence_lp(g, 1).constraints) == 1
-    assert reference_solve(domination_lp(g, 1)).objective == 1
+    assert len(domination_lp(all_balls(g, 1)).constraints) == 1
+    assert len(independence_lp(all_balls(g, 1)).constraints) == 1
+    assert reference_solve(domination_lp(all_balls(g, 1))).objective == 1
     # the one dual value goes to the smallest vertex of the shared ball
     assert cover(g, 1).values == (1, 0, 0, 0)
 
@@ -140,7 +134,7 @@ def test_rejects_malformed_programs():
     with pytest.raises(ValueError):
         LinearProgram("max", (1,), ((((3, 1),), "<=", 1),), ((0, None),))
     with pytest.raises(ValueError):
-        solve(independence_lp(from_edges(1, []), 1), "nope")
+        solve(independence_lp(all_balls(from_edges(1, []), 1)), "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +270,13 @@ _FAST_CORPUS = [inst for inst in default_corpus(7) if inst.graph.n <= 25]
 def test_builders_match_reference_on_corpus(inst):
     g, r = inst.graph, inst.r
     h = inneighbor_hypergraph(augment_from_ordering(g, heuristic_ordering(g), r))
-    for prog in (independence_lp(g, r), bmatching_lp(h, 2)):
+    for prog in (independence_lp(all_balls(g, r)), bmatching_lp(h, 2)):
         _assert_same_as_reference(prog, "exact-rational")
 
 
 def test_float_mode_bit_identical_to_reference():
     g = grid_graph(2, 30)
-    prog = independence_lp(g, 1)
+    prog = independence_lp(all_balls(g, 1))
     got, ref = solve(prog, "float"), reference_solve(prog, "float")
     assert got.status == ref.status == "optimal"
     assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdom.graph import distance, from_edges
+from distdom.graph import ball_masks, distance, from_edges
 from distdom.independence import is_b_matching
 from distdom.oracles import (BudgetExceeded, OracleBudget, brute_alpha_2r,
                              brute_alpha_2rb, brute_bmatching, brute_gamma_r,
@@ -58,8 +58,9 @@ def test_bmatching_triangle(triangle_hypergraph):
 
 
 def test_exists_r_dominating(cycle6):
-    assert exists_r_dominating(cycle6, 1, 1) is None
-    witness = exists_r_dominating(cycle6, 1, 2)
+    masks = ball_masks(cycle6, 1)
+    assert exists_r_dominating(masks, 1) is None
+    witness = exists_r_dominating(masks, 2)
     assert witness is not None and len(witness) == 2
 
 
@@ -70,7 +71,7 @@ def test_budget_refusals(cycle5):
     with pytest.raises(BudgetExceeded):
         brute_wcol(cycle5, 1, OracleBudget(max_vertices=14, max_nodes=10))
     with pytest.raises(BudgetExceeded):
-        exists_r_dominating(big, 1, 10, OracleBudget(max_nodes=100))
+        exists_r_dominating(ball_masks(big, 1), 10, OracleBudget(max_nodes=100))
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))
@@ -81,7 +82,7 @@ def test_gamma_witness_dominates(g, r):
     for v in range(g.n):
         assert any(distance(g, v, w) <= r for w in witness)
     if value > 0:
-        assert exists_r_dominating(g, r, value - 1) is None
+        assert exists_r_dominating(ball_masks(g, r), value - 1) is None
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))
