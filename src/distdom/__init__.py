@@ -14,7 +14,7 @@ from .independence import (Hypergraph, certify_2rb_independent,
 from .instances import (build_h_r, canonical_ordering, clique_hypergraph,
                         covering_hard_hypergraph)
 from .oracles import (OracleBudget, brute_alpha_2r, brute_alpha_2rb,
-                      brute_bmatching, brute_gamma_r, brute_wcol)
+                      brute_gamma_r, brute_wcol)
 from .chain import AnalyzeConfig, ChainReport, CorpusInstance, analyze, default_corpus
 
 __version__ = "0.1.0"

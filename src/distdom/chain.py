@@ -83,7 +83,7 @@ class ChainReport:
     dominating_valid: bool
     y_certified: bool
     y1_independent: bool
-    y_packs: bool  # y puts at most 1 (+ FLOAT_TOL) on every r-ball
+    lp_certified: bool  # x covers and y packs every r-ball (lp.certify)
     aug_verified: bool | None
     oracle_gamma: int | None
     oracle_alpha: int | None
@@ -103,7 +103,7 @@ class ChainReport:
         return self.wcols[2 * self.r]
 
     def inequalities(self) -> dict:
-        eq_tol = 0 if self.exact_mode else lp.FLOAT_TOL
+        eq_tol = lp.tolerance(self.gamma_star)
         # Delta_k = wcol_k holds vertex by vertex, so vacuously when n = 0,
         # where wcol_k is 0 and Delta_k is floored at 1
         checks = {
@@ -111,10 +111,10 @@ class ChainReport:
                 tuple(self.delta_2r) == tuple(self.wcols[:2 * self.r + 1])
                 and (not self.aug_from_ordering
                      or tuple(self.delta_r) == tuple(self.wcols[:self.r + 1]))),
-            # x covers every ball (round_dominating raises otherwise), y
-            # packs every ball, and their sums agree: both are optimal
-            "duality_ok": (self.y_packs and abs(self.gamma_star - self.alpha_star)
-                           <= eq_tol),
+            # x covers every ball, y packs every ball, and their sums
+            # agree: both are optimal
+            "duality_ok": (self.lp_certified
+                           and abs(self.gamma_star - self.alpha_star) <= eq_tol),
             "rounding_ok": self.xn_size <= self.b * self.gamma_star + eq_tol,
             "sparsify_ok": 2 * self.d * self.y1_size >= self.y_size,
         }
@@ -177,7 +177,6 @@ def _opt(v):
 def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> ChainReport:
     g, r = inst.graph, inst.r
     mode = cfg.mode or ("exact-rational" if g.n < EXACT_VERTEX_LIMIT else "float")
-    exact = mode != "float"
     timings: dict[str, float] = {}
 
     def stage(name):
@@ -206,20 +205,17 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     # the r-ball table and both in-degree profiles serve every later stage
     prof_r = indegree_profile(aug_r)
     prof_2r = indegree_profile(aug_2r)
-    b = guarantee_factor(prof_r, r).a
+    b = guarantee_factor(prof_r, r)
     k = prof_r.delta[r]
     d = b * prof_2r.delta[2 * r]
 
     # one LP: the packing optimum y, and the covering optimum x read from
-    # its dual.  y must pack every ball; round_dominating checks that x
-    # covers every ball.
+    # its dual, certified against every ball
     t0 = time.perf_counter()
     balls = all_balls(g, r)
     sol_y = lp.solve(lp.independence_lp(balls), mode)
     sol_x = lp.covering_from_packing(balls, sol_y)
-    tol = 0 if exact else lp.FLOAT_TOL
-    y_packs = all(sum([sol_y.values[u] for u in ball_v]) <= 1 + tol
-                  for ball_v in balls)
+    lp_certified = lp.certify(balls, sol_x, sol_y)
     stage("lp")
 
     t0 = time.perf_counter()
@@ -234,7 +230,8 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     matching = extract_kmatching(h, k, m_sol, strategy)
     y = frozenset(matching.selected)
     cert = certify_2rb_independent(balls, y, b)
-    y1 = sparsify_to_independent(balls, y, b, d)
+    # an uncertified Y is reported (y_certified = 0), not sparsified
+    y1 = sparsify_to_independent(balls, y, b, d) if cert.ok else frozenset()
     stage("independence")
 
     t0 = time.perf_counter()
@@ -255,11 +252,11 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
         gamma_star=sol_x.objective, alpha_star=sol_y.objective,
         xn_size=len(dom.vertices), x0_size=dom.x0_size,
         y_size=len(y), y1_size=len(y1),
-        matching_strategy=strategy, exact_mode=exact,
+        matching_strategy=strategy, exact_mode=mode != "float",
         dominating_valid=dom.valid,
         y_certified=cert.ok,
         y1_independent=certify_2rb_independent(balls, y1, 1).ok,
-        y_packs=y_packs,
+        lp_certified=lp_certified,
         aug_verified=aug_verified,
         oracle_gamma=oracle_gamma, oracle_alpha=oracle_alpha,
         oracle_alpha_b=oracle_alpha_b,

@@ -13,7 +13,6 @@ from .chain import (CSV_COLUMNS, EXACT_VERTEX_LIMIT, AnalyzeConfig, ChainReport,
 from .graph import load_graph, to_json
 from .instances import (build_h_r, clique_hypergraph, covering_hard_hypergraph,
                         grid_graph, random_degenerate_graph)
-from .lp import FLOAT_EPS
 from .oracles import OracleBudget
 
 CSV_HEADER_COMMENT = "# distdom chain-report v1"
@@ -143,7 +142,7 @@ def cmd_bench(args) -> int:
         for report in _run_many(instances, cfg, args.workers):
             achieved = (report.xn_size / float(report.gamma_star)
                         if report.gamma_star else 0.0)
-            ok &= achieved <= report.b + FLOAT_EPS and report.all_ok()
+            ok &= report.all_ok()
             writer.writerow([
                 rep_i, report.instance_id, report.n, report.r, report.b,
                 str(report.gamma_star), report.xn_size,
@@ -214,14 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Bad input (a malformed or missing graph file, an
-    out-of-range parameter) is reported on one line with exit status 2."""
+    """Run one subcommand.  Exit status 0: every check passed; 1: a check
+    failed (the report says which); 2: bad input (a malformed or missing
+    graph file, an out-of-range parameter); 3: a stage could not finish
+    (a pivot or search limit).  Statuses 2 and 3 print one line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"distdom: error: {exc}\n")
         return 2
+    except RuntimeError as exc:
+        sys.stderr.write(f"distdom: could not compute: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,28 +8,16 @@ from .augment import Augmentation, IndegreeProfile
 from .augment import indegree_profile  # unused; a patch point of perfbench/tracer.py
 from .graph import VertexSet
 from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
-from .lp import FLOAT_EPS, FLOAT_TOL, LpSolution, ratio
+from .lp import LpSolution, threshold
 from .ordering import Ordering
 
 
-@dataclass(frozen=True)
-class GuaranteeFactor:
-    """The rounding factor a = (Delta_{r-1}+1)*Delta_r - Delta_{r-1},
-    its coarser square bound Delta_r^2, and for 1-augmentations built from
-    an indegree-d orientation the 2d+1 specialization."""
-
-    a: int
-    squared_bound: int
-    r1_factor: int | None
-
-
-def guarantee_factor(profile: IndegreeProfile, r: int) -> GuaranteeFactor:
+def guarantee_factor(profile: IndegreeProfile, r: int) -> int:
+    """The rounding factor a = (Delta_{r-1}+1)*Delta_r - Delta_{r-1}."""
     if not 1 <= r <= profile.r:
         raise ValueError(f"r={r} outside profile range 1..{profile.r}")
     dprev, dcur = profile.delta[r - 1], profile.delta[r]
-    a = (dprev + 1) * dcur - dprev
-    r1 = 2 * (dcur - 1) + 1 if r == 1 and dprev == 1 else None
-    return GuaranteeFactor(a, dcur * dcur, r1)
+    return (dprev + 1) * dcur - dprev
 
 
 @dataclass(frozen=True)
@@ -41,14 +29,15 @@ class DominationResult:
 
 def round_dominating(balls: list[VertexSet], aug: Augmentation, a: int,
                      x: LpSolution, sweep: Ordering) -> DominationResult:
-    """Round a feasible fractional covering solution to an r-dominating set.
+    """Round a fractional covering solution to an r-dominating set.
 
     balls is the ball table all_balls(g, r) with r = aug.r, and a is the
-    rounding factor guarantee_factor(indegree_profile(aug), r).a.
+    rounding factor guarantee_factor(indegree_profile(aug), r).
     Threshold step: X_0 = {v : x_v >= 1/a}.  Sweep step: visit vertices in
     the given order; whenever v_i has no current member within distance r,
     add every inneighbor u of v_i with rho(u v_i) <= r-1 (v_i itself comes
-    in through its loop).  The result satisfies |X_n| <= a * sum(x).
+    in through its loop).  If x covers every ball (lp.certify checks it),
+    then |X_n| <= a * sum(x).
     """
     if x.status != "optimal" or x.values is None:
         raise ValueError(f"cannot round a solution with status {x.status}")
@@ -56,19 +45,8 @@ def round_dominating(balls: list[VertexSet], aug: Augmentation, a: int,
     if len(x.values) != n:
         raise ValueError("solution size does not match the ball table")
     r = aug.r
-    exact = not isinstance(x.objective, float)
-
-    for u in range(n):
-        total = sum(x.values[v] for v in balls[u])
-        if (exact and total < 1) or (not exact and total < 1 - FLOAT_TOL):
-            raise ValueError(f"infeasible solution: ball of {u} covered by {total}")
-
-    if exact:
-        threshold_ok = lambda xv: xv >= ratio(1, a)
-    else:
-        threshold_ok = lambda xv: xv >= 1 / a - FLOAT_EPS
-
-    members = {v for v in range(n) if threshold_ok(x.values[v])}
+    cut = threshold(x, a)
+    members = {v for v in range(n) if x.values[v] >= cut}
     x0_size = len(members)
     for v in sweep.by_rank:
         if balls[v].isdisjoint(members):

@@ -8,7 +8,8 @@ from .augment import Augmentation
 from .augment import indegree_profile  # unused; a patch point of perfbench/tracer.py
 from .graph import VertexSet
 from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
-from .lp import FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, ratio, solve
+from .lp import (FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, solve,
+                 threshold)
 from .ordering import _peel
 
 # Largest hypergraph (in edges) the exact k-matching search accepts, and
@@ -171,8 +172,7 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
         raise ValueError("k must be positive")
     if m.status != "optimal" or m.values is None or len(m.values) != len(h.edges):
         raise ValueError("need an optimal fractional matching over h's edges")
-    exact_vals = not isinstance(m.objective, float)
-    cut = ratio(1, k) if exact_vals else 1 / k - FLOAT_EPS
+    cut = threshold(m, k)
     selected = {lab for (lab, _mem), val in zip(h.edges, m.values) if val >= cut}
     if strategy == "threshold":
         pass

@@ -1,8 +1,10 @@
 """Dense simplex from the slack basis (fraction-free exact or float), the
-ball covering and ball packing LP builders, and the covering optimum read
-from the packing dual."""
+ball covering and ball packing LP builders, the covering optimum read
+from the packing dual, and the one reading of an LP answer: how its values
+are compared (exactly, or with float slack) and the duality certificate."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as ratio
 from typing import Sequence
@@ -10,8 +12,8 @@ from typing import Sequence
 from .graph import VertexSet
 from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
 
-FLOAT_EPS = 1e-9  # zero test of the float simplex and of float thresholds
-FLOAT_TOL = 1e-6  # slack when float LP optima are compared or rounded
+FLOAT_EPS = 1e-9  # zero test of the float simplex; slack of a float threshold
+FLOAT_TOL = 1e-6  # slack when float sums or optima are compared
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,7 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     their gcd after every elimination, so the pivots build no rationals; it
     takes the pivots a tableau of exact rationals would and returns the
     same rationals."""
-    import math
-
-    if mode in ("exact-rational", "exact"):
+    if mode == "exact-rational":
         exact, tol = True, 0
         conv = lambda v: v if isinstance(v, int) else ratio(v)
     elif mode == "float":
@@ -302,8 +302,55 @@ def covering_from_packing(balls: Sequence[VertexSet],
     owners = _ball_owners(balls)
     if len(y.dual) != len(owners) or len(y.values) != len(balls):
         raise ValueError("the packing solution does not match the ball table")
-    zero = 0.0 if isinstance(y.objective, float) else ratio(0)
+    zero = ratio(0) if _exact(y.objective) else 0.0
     values = [zero] * len(balls)
     for c, z in zip(owners, y.dual):
         values[c] = z
     return LpSolution("optimal", tuple(values), sum(values))
+
+
+# ---------------------------------------------------------------------------
+# Reading an LP answer.  Exact answers are compared exactly; float answers
+# get FLOAT_EPS slack on a threshold and FLOAT_TOL slack on a sum or an
+# optimum.
+
+
+def _exact(value) -> bool:
+    """Whether an LP optimum is exact: only float mode gives float optima."""
+    return not isinstance(value, float)
+
+
+def threshold(sol: LpSolution, a: int):
+    """The least value of the answer sol that counts as >= 1/a."""
+    return ratio(1, a) if _exact(sol.objective) else 1 / a - FLOAT_EPS
+
+
+def tolerance(optimum):
+    """The slack of a comparison of sums or optima with the LP optimum
+    optimum: 0 if it is exact, FLOAT_TOL if it is a float."""
+    return 0 if _exact(optimum) else FLOAT_TOL
+
+
+def _scaled(sol: LpSolution) -> tuple[Sequence, object]:
+    """The values of sol and the value 1 on one scale: exact values become
+    integers over their least common denominator, so that sums of them are
+    integer sums, not Fraction sums."""
+    if not _exact(sol.objective):
+        return sol.values, 1
+    den = math.lcm(*[v.denominator for v in sol.values])
+    return [v.numerator * (den // v.denominator) for v in sol.values], den
+
+
+def certify(balls: Sequence[VertexSet], x: LpSolution, y: LpSolution) -> bool:
+    """The duality certificate over the ball table balls = all_balls(g, r):
+    the covering solution x puts at least 1, and the packing solution y at
+    most 1, on every distinct ball.  With sum(x) = sum(y) both are optimal."""
+    (xs, x_one), (ys, y_one) = _scaled(x), _scaled(y)
+    x_min = x_one - tolerance(x.objective)
+    y_max = y_one + tolerance(y.objective)
+    for c in _ball_owners(balls):
+        ball = balls[c]
+        if (sum([xs[v] for v in ball]) < x_min
+                or sum([ys[v] for v in ball]) > y_max):
+            return False
+    return True

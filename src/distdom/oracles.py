@@ -1,6 +1,6 @@
 """Exponential-time exact baselines: distance domination/independence
-numbers, weak coloring numbers, and hypergraph b-matchings.  Everything
-refuses inputs beyond its budget instead of running open-ended."""
+numbers and weak coloring numbers.  Everything refuses inputs beyond its
+budget instead of running open-ended."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .graph import Graph, ball_masks
-from .independence import Hypergraph
 from .ordering import Ordering, weak_reach
 
 
@@ -193,40 +192,3 @@ def brute_wcol(g: Graph, k: int,
         if best_val is None or w < best_val:
             best_val, best_ord = w, ordering
     return OracleResult(best_val, best_ord)
-
-
-def brute_bmatching(h: Hypergraph, b: int,
-                    budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
-    """Exact maximum b-matching by DFS over edges with capacity counters."""
-    if b < 1:
-        raise ValueError("b must be positive")
-    ne = len(h.edges)
-    counts: dict[int, int] = {}
-    best = [0, frozenset()]
-    chosen: list[int] = []
-    nodes = [0]
-
-    def rec(j: int):
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded("b-matching search exceeded node budget")
-        if len(chosen) > best[0]:
-            best[0], best[1] = len(chosen), frozenset(chosen)
-        if j == ne or len(chosen) + (ne - j) <= best[0]:
-            return
-        lab, members = h.edges[j]
-        if all(counts.get(v, 0) < b for v in members):
-            for v in members:
-                counts[v] = counts.get(v, 0) + 1
-            chosen.append(lab)
-            rec(j + 1)
-            chosen.pop()
-            for v in members:
-                counts[v] -= 1
-        rec(j + 1)
-
-    try:
-        rec(0)
-    finally:
-        rec = None  # the closure refers to itself: break the cycle
-    return OracleResult(best[0], best[1])

@@ -17,7 +17,7 @@ from distdom.cli import main
 from distdom.graph import all_balls, ball_masks, distance
 from distdom.instances import (build_h_r, canonical_ordering,
                                clique_hypergraph, covering_hard_hypergraph)
-from distdom.lp import domination_lp, independence_lp, solve
+from distdom.lp import FLOAT_TOL, domination_lp, independence_lp, solve
 from distdom.oracles import OracleBudget, brute_alpha_2r, exists_r_dominating
 from distdom.ordering import wcol_of_ordering
 
@@ -220,6 +220,36 @@ def test_corpus_reports_match_golden(corpus_runs):
     assert [o["id"] for o in actual] == [o["id"] for o in golden]
     for got, want in zip(actual, golden):
         assert got == want, got["id"]
+
+
+def test_corpus_float_reports_match_golden():
+    """In float mode, every report field and every X_n/Y/Y1 set equals the
+    stored reports; gamma* and alpha* agree within FLOAT_TOL.
+
+    Regenerate tests/data/corpus7_float_reports.jsonl, from the repository
+    root, only for a change that is meant to alter the pipeline's output:
+
+    PYTHONPATH=src python3 -c "import json; from distdom.chain import *
+    cfg = AnalyzeConfig(mode='float', keep_sets=True)
+    for inst in default_corpus(7):
+        obj = json.loads(analyze(inst, cfg).to_json()); del obj['timings_ms']
+        print(json.dumps(obj, separators=(',', ':')))
+    " > tests/data/corpus7_float_reports.jsonl
+    """
+    path = Path(__file__).parent / "data" / "corpus7_float_reports.jsonl"
+    golden = [json.loads(line) for line in path.read_text().splitlines()]
+    cfg = AnalyzeConfig(mode="float", keep_sets=True)
+    actual = [json.loads(analyze(inst, cfg).to_json())
+              for inst in default_corpus(7)]
+    assert [o["id"] for o in actual] == [o["id"] for o in golden]
+    optima = ("gamma_star", "alpha_star")
+    for got, want in zip(actual, golden):
+        del got["timings_ms"]
+        assert got.keys() == want.keys(), got["id"]
+        for key in optima:
+            assert abs(float(got[key]) - float(want[key])) <= FLOAT_TOL, got["id"]
+        assert ({k: v for k, v in got.items() if k not in optima}
+                == {k: v for k, v in want.items() if k not in optima}), got["id"]
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -11,6 +11,7 @@ from distdom.chain import (CSV_COLUMNS, AnalyzeConfig, CorpusInstance, analyze,
                            default_corpus, verify_chain)
 from distdom.cli import CSV_HEADER_COMMENT, main
 from distdom.graph import from_edges, to_json
+from distdom.independence import BMatching
 from distdom.instances import grid_graph
 from distdom.oracles import OracleBudget
 
@@ -92,8 +93,8 @@ def test_broken_report_fails(cycle5, small_cfg):
 def test_duality_needs_packing_certificate(cycle5, small_cfg):
     import dataclasses
     rep = analyze(CorpusInstance("c5", cycle5, 1), small_cfg)
-    assert rep.y_packs and rep.inequalities()["duality_ok"]
-    bad = dataclasses.replace(rep, y_packs=False)
+    assert rep.lp_certified and rep.inequalities()["duality_ok"]
+    bad = dataclasses.replace(rep, lp_certified=False)
     assert not bad.inequalities()["duality_ok"]
     assert not bad.all_ok()
 
@@ -148,6 +149,67 @@ def test_augmentation_violation_is_reported(tmp_path, monkeypatch, cycle5,
     rows = list(csv.reader(io.StringIO(out_csv.read_text())))[2:]
     assert [row[0] for row in rows] == ["c5"]
     assert rows[0][CSV_COLUMNS.index("aug_verified")] == "0"
+
+
+def test_uncovered_ball_is_reported(tmp_path, monkeypatch, cycle5, small_cfg):
+    # all of x's mass on vertex 0: sum(x) still equals sum(y), but the ball
+    # of vertex 2 gets nothing, so the duality certificate fails
+    covering_from_packing = lp.covering_from_packing
+
+    def lopsided(balls, y):
+        x = covering_from_packing(balls, y)
+        values = (x.objective,) + (0,) * (len(balls) - 1)
+        return lp.LpSolution("optimal", values, x.objective)
+
+    monkeypatch.setattr(lp, "covering_from_packing", lopsided)
+    rep = analyze(CorpusInstance("c5", cycle5, 1), small_cfg)
+    assert rep.gamma_star == rep.alpha_star and not rep.lp_certified
+    assert not rep.inequalities()["duality_ok"] and not rep.all_ok()
+
+    path = tmp_path / "c5.json"
+    path.write_text(to_json(cycle5))
+    code, out, _ = _run(["analyze", str(path)])
+    obj = json.loads(out)
+    assert code == 1 and obj["duality_ok"] == 0 and obj["all_ok"] == 0
+
+
+def test_uncertified_y_is_reported(tmp_path, monkeypatch, small_cfg):
+    # every vertex of a 6-vertex star as Y: the ball of the center meets
+    # it 6 > b times, so Y is reported uncertified and not sparsified
+    star = from_edges(6, [(0, i) for i in range(1, 6)])
+    monkeypatch.setattr(chain, "extract_kmatching",
+                        lambda h, k, m, strategy: BMatching(frozenset(range(6)), k))
+    rep = analyze(CorpusInstance("star6", star, 1), small_cfg)
+    assert rep.b == 3 and rep.y_size == 6
+    assert not rep.y_certified and rep.y1_size == 0 and not rep.all_ok()
+
+    path = tmp_path / "star6.json"
+    path.write_text(to_json(star))
+    code, out, _ = _run(["analyze", str(path)])
+    obj = json.loads(out)
+    assert code == 1 and obj["y_certified"] == 0 and obj["all_ok"] == 0
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "star6.json").write_text(to_json(star))
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = _run(["verify-chain", "--corpus", str(corpus),
+                       "--out", str(out_csv)])
+    rows = list(csv.reader(io.StringIO(out_csv.read_text())))[2:]
+    assert code == 1 and [row[0] for row in rows] == ["star6"]
+    assert rows[0][CSV_COLUMNS.index("y_certified")] == "0"
+
+
+def test_stage_that_cannot_finish_exits_3(tmp_path, monkeypatch, cycle5):
+    def stalled(program, mode="exact-rational"):
+        raise RuntimeError("simplex pivot limit exceeded")
+
+    monkeypatch.setattr(lp, "solve", stalled)
+    path = tmp_path / "c5.json"
+    path.write_text(to_json(cycle5))
+    code, out, err = _run(["analyze", str(path)])
+    assert code == 3 and out == ""
+    assert err == "distdom: could not compute: simplex pivot limit exceeded\n"
 
 
 def test_float_grid_4x40_r2(tmp_path):

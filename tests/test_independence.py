@@ -13,12 +13,12 @@ from distdom.independence import (EXACT_MATCHING_MAX_EDGES, Hypergraph,
                                   matching_solution_from_packing,
                                   sparsify_to_independent)
 from distdom.lp import LpSolution, independence_lp, ratio, solve
-from distdom.oracles import (OracleBudget, brute_alpha_2r, brute_alpha_2rb,
-                             brute_bmatching)
+from distdom.oracles import OracleBudget, brute_alpha_2r, brute_alpha_2rb
 from distdom.ordering import heuristic_ordering
 
 from conftest import graphs
 from lp_reference import bmatching_lp
+from oracles_reference import brute_bmatching
 
 
 def out_bounded_set(aug, strategy, pack):

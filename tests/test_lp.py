@@ -9,8 +9,9 @@ from distdom.chain import default_corpus
 from distdom.graph import all_balls, from_edges
 from distdom.independence import Hypergraph, inneighbor_hypergraph
 from distdom.instances import build_h_r, clique_hypergraph, grid_graph
-from distdom.lp import (LinearProgram, covering_from_packing,
-                        domination_lp, independence_lp, ratio, solve)
+from distdom.lp import (FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution,
+                        certify, covering_from_packing, domination_lp,
+                        independence_lp, ratio, solve, threshold, tolerance)
 from distdom.ordering import heuristic_ordering
 
 from conftest import cover, graphs
@@ -96,11 +97,43 @@ def test_strong_duality(g, r):
 def test_solutions_are_feasible(g, r):
     balls = all_balls(g, r)
     y = solve(independence_lp(all_balls(g, r)))
-    x = covering_from_packing(balls, y).values
+    x_sol = covering_from_packing(balls, y)
+    x = x_sol.values
     for v in range(g.n):
         assert sum(x[u] for u in balls[v]) >= 1
         assert sum(y.values[u] for u in balls[v]) <= 1
         assert x[v] >= 0 and y.values[v] >= 0
+    assert certify(balls, x_sol, y)
+
+
+def test_threshold_and_tolerance():
+    exact = LpSolution("optimal", (ratio(1, 3),), ratio(1, 3))
+    inexact = LpSolution("optimal", (1 / 3,), 1 / 3)
+    assert threshold(exact, 3) == ratio(1, 3)
+    assert threshold(inexact, 3) == 1 / 3 - FLOAT_EPS
+    assert tolerance(exact.objective) == 0
+    assert tolerance(inexact.objective) == FLOAT_TOL
+    # the float threshold is the exact one less FLOAT_EPS, bit for bit
+    assert all(ratio(1, a) - FLOAT_EPS == 1 / a - FLOAT_EPS
+               for a in range(1, 5000))
+
+
+def test_certify_slack(cycle5):
+    # every ball of C5 (r = 1) has 3 vertices; x = y = 1/3 is optimal
+    balls = all_balls(cycle5, 1)
+
+    def uniform(v):
+        return LpSolution("optimal", (v,) * 5, 5 * v)
+
+    third, eps = ratio(1, 3), ratio(1, 10 ** 9)
+    assert certify(balls, uniform(third), uniform(third))
+    assert not certify(balls, uniform(third - eps), uniform(third))
+    assert not certify(balls, uniform(third), uniform(third + eps))
+    # a float answer gets FLOAT_TOL slack on every ball sum
+    f = 1 / 3
+    assert certify(balls, uniform(f - 1e-7), uniform(f + 1e-7))
+    assert not certify(balls, uniform(f - 1e-6), uniform(f))
+    assert not certify(balls, uniform(f), uniform(f + 1e-6))
 
 
 def test_kmatching_scaling_property(triangle_hypergraph):

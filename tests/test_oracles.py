@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from distdom.graph import ball_masks, distance, from_edges
 from distdom.independence import is_b_matching
 from distdom.oracles import (BudgetExceeded, OracleBudget, brute_alpha_2r,
-                             brute_alpha_2rb, brute_bmatching, brute_gamma_r,
-                             brute_wcol, exists_r_dominating)
+                             brute_alpha_2rb, brute_gamma_r, brute_wcol,
+                             exists_r_dominating)
 from distdom.ordering import wcol_of_ordering
 
 from conftest import graphs
+from oracles_reference import brute_bmatching
 
 
 def test_gamma_c5(cycle5):
