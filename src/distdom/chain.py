@@ -13,8 +13,8 @@ from .augment import (augmentation_from_profile, indegree_profile,
                       orientation_augmentation, verify_augmentation)
 from .domination import guarantee_factor, round_dominating
 from .graph import Graph, all_balls
-from .independence import (EXACT_MATCHING_MAX_EDGES, certify_2rb_independent,
-                           extract_kmatching, inneighbor_hypergraph,
+from .independence import (certify_2rb_independent, extract_kmatching,
+                           inneighbor_hypergraph,
                            matching_solution_from_packing,
                            sparsify_to_independent)
 from .instances import (build_h_r, clique_hypergraph,
@@ -49,7 +49,6 @@ class CorpusInstance:
 
 @dataclass(frozen=True)
 class AnalyzeConfig:
-    ordering_strategy: str = "degeneracy"
     mode: str | None = None  # None = exact below EXACT_VERTEX_LIMIT
     oracle_budget: OracleBudget = field(default_factory=OracleBudget)
     keep_sets: bool = False
@@ -183,7 +182,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
         timings[name] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    ordering = heuristic_ordering(g, cfg.ordering_strategy)
+    ordering = heuristic_ordering(g)
     profile = weak_reach(g, ordering, 2 * r)
     wcols = tuple([profile.wcol(kk) for kk in range(2 * r + 1)])
     if inst.orientation is not None and r == 1:
@@ -224,10 +223,8 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
 
     t0 = time.perf_counter()
     h = inneighbor_hypergraph(aug_r)
-    strategy = ("exact" if len(h.edges) <= EXACT_MATCHING_MAX_EDGES
-                else "threshold+greedy")
     m_sol = matching_solution_from_packing(h, sol_y)
-    matching = extract_kmatching(h, k, m_sol, strategy)
+    matching = extract_kmatching(h, k, m_sol)
     y = frozenset(matching.selected)
     cert = certify_2rb_independent(balls, y, b)
     # an uncertified Y is reported (y_certified = 0), not sparsified
@@ -252,7 +249,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
         gamma_star=sol_x.objective, alpha_star=sol_y.objective,
         xn_size=len(dom.vertices), x0_size=dom.x0_size,
         y_size=len(y), y1_size=len(y1),
-        matching_strategy=strategy, exact_mode=mode != "float",
+        matching_strategy=matching.method, exact_mode=mode != "float",
         dominating_valid=dom.valid,
         y_certified=cert.ok,
         y1_independent=certify_2rb_independent(balls, y1, 1).ok,

@@ -1,4 +1,4 @@
-"""Command-line entry point: analyze | verify-chain | generate | bench."""
+"""Command-line entry point: analyze | verify-chain | generate."""
 from __future__ import annotations
 
 import argparse
@@ -6,7 +6,6 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .chain import (CSV_COLUMNS, EXACT_VERTEX_LIMIT, AnalyzeConfig, ChainReport,
                     CorpusInstance, analyze, default_corpus)
@@ -38,7 +37,6 @@ def _config_from_args(args) -> AnalyzeConfig:
     elif getattr(args, "exact", None) is False:
         mode = "float"
     return AnalyzeConfig(
-        ordering_strategy=args.strategy,
         mode=mode,
         oracle_budget=_budget_from_args(args),
         keep_sets=getattr(args, "keep_sets", False),
@@ -50,25 +48,11 @@ def _write_csv(reports: list[ChainReport], stream, with_timing: bool = True) -> 
     stream.write(CSV_HEADER_COMMENT + " columns: " + ",".join(cols) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(cols)
-    for rep in sorted(reports, key=lambda r: r.instance_id):
+    for rep in reports:
         writer.writerow(rep.csv_row(with_timing=with_timing))
 
 
-def _analyze_one(pair):
-    inst, cfg = pair
-    return analyze(inst, cfg)
-
-
-def _run_many(instances, cfg: AnalyzeConfig, workers: int) -> list[ChainReport]:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_analyze_one, [(i, cfg) for i in instances]))
-    else:
-        reports = [analyze(inst, cfg) for inst in instances]
-    return sorted(reports, key=lambda r: r.instance_id)
-
-
-def _load_corpus(args, allow_empty: bool = False) -> list[CorpusInstance]:
+def _load_corpus(args) -> list[CorpusInstance]:
     if args.corpus:
         instances = []
         for name in sorted(os.listdir(args.corpus)):
@@ -76,8 +60,8 @@ def _load_corpus(args, allow_empty: bool = False) -> list[CorpusInstance]:
                 continue
             path = os.path.join(args.corpus, name)
             instances.append(CorpusInstance(name[:-5], load_graph(path), args.r))
-        if not instances and not allow_empty:
-            raise SystemExit(f"no .json graphs found in {args.corpus}")
+        if not instances:
+            raise ValueError(f"no .json graphs found in {args.corpus}")
         return instances
     return default_corpus(args.seed)
 
@@ -96,7 +80,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify_chain(args) -> int:
     instances = _load_corpus(args)
     cfg = _config_from_args(args)
-    reports = _run_many(instances, cfg, args.workers)
+    reports = sorted([analyze(inst, cfg) for inst in instances],
+                     key=lambda r: r.instance_id)
     out = io.StringIO()
     _write_csv(reports, out)
     text = out.getvalue()
@@ -131,27 +116,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    instances = _load_corpus(args, allow_empty=True)
-    cfg = _config_from_args(args)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["# rep", "id", "n", "r", "b", "gamma_star", "xn",
-                     "achieved_ratio", "bound", "y1", "t_ms"])
-    ok = True
-    for rep_i in range(args.repetitions):
-        for report in _run_many(instances, cfg, args.workers):
-            achieved = (report.xn_size / float(report.gamma_star)
-                        if report.gamma_star else 0.0)
-            ok &= report.all_ok()
-            writer.writerow([
-                rep_i, report.instance_id, report.n, report.r, report.b,
-                str(report.gamma_star), report.xn_size,
-                f"{achieved:.4f}", report.b, report.y1_size,
-                round(sum(report.timings.values()), 2),
-            ])
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distdom",
@@ -161,21 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--r", type=int, default=1)
-        p.add_argument("--strategy", default="degeneracy",
-                       choices=["degeneracy", "descending-degree", "input-order"])
         p.add_argument("--exact", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="force exact-rational (or float) LP mode; "
                             f"default: exact below {EXACT_VERTEX_LIMIT} vertices")
         p.add_argument("--budget", type=int, default=None,
                        help="oracle vertex budget (env DISTDOM_BUDGET_VERTICES)")
-
-    def corpus_options(p):
-        p.add_argument("--corpus", default=None,
-                       help="directory of .json graphs; default: built-in corpus")
-        p.add_argument("--seed", type=int, default=7,
-                       help="seed of the built-in corpus")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("analyze", help="run the full pipeline on one graph")
     p.add_argument("graph")
@@ -187,8 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-chain",
                        help="verify the inequality chain over a corpus")
     p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--corpus", default=None,
+                   help="directory of .json graphs; default: built-in corpus")
+    p.add_argument("--seed", type=int, default=7,
+                   help="seed of the built-in corpus")
     common(p)
-    corpus_options(p)
     p.set_defaults(func=cmd_verify_chain)
 
     p = sub.add_parser("generate", help="emit a benchmark instance as JSON")
@@ -202,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="timings and achieved ratios over a corpus")
-    p.add_argument("--repetitions", type=int, default=1)
-    common(p)
-    corpus_options(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

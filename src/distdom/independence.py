@@ -12,8 +12,8 @@ from .lp import (FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, solve,
                  threshold)
 from .ordering import _peel
 
-# Largest hypergraph (in edges) the exact k-matching search accepts, and
-# its branch-and-bound node budget.
+# Largest hypergraph (in edges) that gets the exact k-matching search, and
+# the search's branch-and-bound node budget.
 EXACT_MATCHING_MAX_EDGES = 60
 MATCHING_MAX_NODES = 200_000
 
@@ -40,6 +40,7 @@ class Hypergraph:
 class BMatching:
     selected: frozenset  # edge labels
     b: int
+    method: str  # exact | threshold+greedy
 
 
 def is_b_matching(h: Hypergraph, labels, b: int) -> bool:
@@ -158,15 +159,14 @@ def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set) -> set:
     return best
 
 
-def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
-                      strategy: str = "threshold+greedy") -> BMatching:
+def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> BMatching:
     """Integral k-matching from a feasible fractional 1-matching.
 
-    threshold keeps edges with m_e >= 1/k (always a valid k-matching);
-    threshold+greedy extends that greedily; exact runs branch-and-bound
-    for a maximum k-matching, which is guaranteed at least half of the
-    fractional 1-matching optimum, and refuses hypergraphs of more than
-    EXACT_MATCHING_MAX_EDGES edges.
+    The edges with m_e >= 1/k (always a valid k-matching), extended
+    greedily.  On hypergraphs of at most EXACT_MATCHING_MAX_EDGES edges,
+    branch-and-bound from there finds a maximum k-matching, which is
+    guaranteed at least half of the fractional 1-matching optimum; the
+    method field says whether it ran ("exact") or not ("threshold+greedy").
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -174,21 +174,13 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution,
         raise ValueError("need an optimal fractional matching over h's edges")
     cut = threshold(m, k)
     selected = {lab for (lab, _mem), val in zip(h.edges, m.values) if val >= cut}
-    if strategy == "threshold":
-        pass
-    elif strategy == "threshold+greedy":
-        selected = _greedy_extend(h, k, selected)
-    elif strategy == "exact":
-        if len(h.edges) > EXACT_MATCHING_MAX_EDGES:
-            raise MatchingBudgetExceeded(
-                f"exact strategy refused: {len(h.edges)} edges > "
-                f"{EXACT_MATCHING_MAX_EDGES}")
-        selected = _greedy_extend(h, k, selected)
+    selected = _greedy_extend(h, k, selected)
+    method = "threshold+greedy"
+    if len(h.edges) <= EXACT_MATCHING_MAX_EDGES:
         selected = _exact_max_kmatching(h, k, selected)
-    else:
-        raise ValueError(f"unknown matching strategy {strategy!r}")
+        method = "exact"
     assert is_b_matching(h, selected, k)
-    return BMatching(frozenset(selected), k)
+    return BMatching(frozenset(selected), k, method)
 
 
 @dataclass(frozen=True)

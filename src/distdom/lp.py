@@ -233,7 +233,8 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     for i, b in enumerate(basis):
         if b < nvars:
             values[b] = ratio(rows[i][ncols], dens[i]) if exact else rows[i][ncols]
-    objective = sum(conv(c) * values[j] for j, c in enumerate(lp.objective))
+    objective = sum([conv(c) * values[j] for j, c in enumerate(lp.objective)],
+                    zero)
     # the dual value of row i is the reduced cost of its slack
     obj, den = rows[m], dens[m]
     if exact:
@@ -306,7 +307,7 @@ def covering_from_packing(balls: Sequence[VertexSet],
     values = [zero] * len(balls)
     for c, z in zip(owners, y.dual):
         values[c] = z
-    return LpSolution("optimal", tuple(values), sum(values))
+    return LpSolution("optimal", tuple(values), sum(values, zero))
 
 
 # ---------------------------------------------------------------------------

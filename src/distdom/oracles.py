@@ -70,49 +70,64 @@ def brute_gamma_r(g: Graph, r: int,
     return OracleResult(g.n, frozenset(range(g.n)))
 
 
-def _conflict_masks(g: Graph, r: int) -> list[int]:
-    """mask[v] = vertices at distance <= 2r from v, v excluded."""
-    masks = ball_masks(g, 2 * r)
-    return [m & ~(1 << v) for v, m in enumerate(masks)]
-
-
-def brute_alpha_2r(g: Graph, r: int,
-                   budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
-    """Exact maximum 2r-independent set.
-
-    Branch-and-bound maximum independent set on the distance-<=2r conflict
-    graph; reaches the dense construction instances that a cardinality
-    sweep cannot.
-    """
-    _check_vertices(g, budget, "brute_alpha_2r")
-    conf = _conflict_masks(g, r)
+def _max_ball_bounded(g: Graph, r: int, b: int, budget: OracleBudget,
+                      what: str) -> OracleResult:
+    """A largest vertex set that no r-ball holds more than b times, by
+    branch-and-bound over the ball bitmasks.  Balls are symmetric, so the
+    balls holding v are indexed by the members of v's own ball.  Taking v
+    adds 1 to the count of each of them, and a ball whose count reaches b
+    takes all its members out of the candidates.  The search branches on
+    the candidate that shares a ball with the most other candidates, and
+    prunes when size + |candidates| <= best."""
+    _check_vertices(g, budget, what)
+    if b < 1:
+        raise ValueError("b must be positive")
+    masks = ball_masks(g, r)
+    # share[v]: the vertices other than v that share a ball with v, that is,
+    # those within distance 2r of v
+    share = []
+    for v, ball_v in enumerate(masks):
+        acc = 0
+        m = ball_v
+        while m:
+            acc |= masks[(m & -m).bit_length() - 1]
+            m &= m - 1
+        share.append(acc & ~(1 << v))
+    counts = [0] * g.n
     best = [0, 0]
     nodes = [0]
-
-    def bound_count(mask: int) -> int:
-        return mask.bit_count()
 
     def rec(cand: int, chosen: int, size: int):
         nodes[0] += 1
         if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded("independence search exceeded node budget")
+            raise BudgetExceeded(f"{what}: search exceeded node budget")
         if size > best[0]:
             best[0], best[1] = size, chosen
-        if size + bound_count(cand) <= best[0]:
+        if size + cand.bit_count() <= best[0]:
             return
-        if not cand:
-            return
-        # branch on the candidate with the most conflicts among candidates
         v, vdeg = -1, -1
         m = cand
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
-            deg = bound_count(conf[u] & cand)
+            deg = (share[u] & cand).bit_count()
             if deg > vdeg:
                 v, vdeg = u, deg
-        rec(cand & ~(1 << v) & ~conf[v], chosen | (1 << v), size + 1)
-        rec(cand & ~(1 << v), chosen, size)
+        bit = 1 << v
+        removed = bit
+        m = masks[v]
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            counts[w] += 1
+            if counts[w] == b:
+                removed |= masks[w]
+        rec(cand & ~removed, chosen | bit, size + 1)
+        m = masks[v]
+        while m:
+            counts[(m & -m).bit_length() - 1] -= 1
+            m &= m - 1
+        rec(cand & ~bit, chosen, size)
 
     try:
         rec((1 << g.n) - 1, 0, 0)
@@ -122,58 +137,18 @@ def brute_alpha_2r(g: Graph, r: int,
     return OracleResult(best[0], witness)
 
 
+def brute_alpha_2r(g: Graph, r: int,
+                   budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
+    """Exact maximum 2r-independent set: every r-ball holds at most one
+    member, since two vertices within 2r share the ball of a middle vertex."""
+    return _max_ball_bounded(g, r, 1, budget, "brute_alpha_2r")
+
+
 def brute_alpha_2rb(g: Graph, r: int, b: int,
                     budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
-    """Exact maximum (2r,b)-independent set: DFS with per-ball counters."""
-    _check_vertices(g, budget, "brute_alpha_2rb")
-    if b < 1:
-        raise ValueError("b must be positive")
-    masks = ball_masks(g, r)
-    n = g.n
-    counts = [0] * n
-    best = [0, frozenset()]
-    chosen: list[int] = []
-    nodes = [0]
-
-    def rec(v: int):
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded("(2r,b)-independence search exceeded node budget")
-        if len(chosen) > best[0]:
-            best[0], best[1] = len(chosen), frozenset(chosen)
-        if v == n or len(chosen) + (n - v) <= best[0]:
-            return
-        # include v when every ball containing it stays within b
-        hit = masks[v]
-        ok = True
-        u = hit
-        while u:
-            w = (u & -u).bit_length() - 1
-            u &= u - 1
-            if counts[w] + 1 > b:
-                ok = False
-                break
-        if ok:
-            u = hit
-            while u:
-                w = (u & -u).bit_length() - 1
-                u &= u - 1
-                counts[w] += 1
-            chosen.append(v)
-            rec(v + 1)
-            chosen.pop()
-            u = hit
-            while u:
-                w = (u & -u).bit_length() - 1
-                u &= u - 1
-                counts[w] -= 1
-        rec(v + 1)
-
-    try:
-        rec(0)
-    finally:
-        rec = None  # the closure refers to itself: break the cycle
-    return OracleResult(best[0], best[1])
+    """Exact maximum (2r,b)-independent set: every r-ball holds at most b
+    members."""
+    return _max_ball_bounded(g, r, b, budget, "brute_alpha_2rb")
 
 
 def brute_wcol(g: Graph, k: int,

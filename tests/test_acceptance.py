@@ -257,8 +257,7 @@ def test_criterion_10_determinism(tmp_path):
     outputs = []
     for i in (0, 1):
         path = tmp_path / f"run{i}.csv"
-        code = main(["verify-chain", "--seed", "7", "--workers", "4",
-                     "--out", str(path)])
+        code = main(["verify-chain", "--seed", "7", "--out", str(path)])
         if code != 0:
             failures.append(f"run {i}: exit code {code}")
         lines = path.read_text().splitlines()

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distdom import independence
 from distdom.augment import augment_from_ordering, indegree_profile
 from distdom.graph import all_balls, distance, from_edges
 from distdom.independence import (EXACT_MATCHING_MAX_EDGES, Hypergraph,
-                                  MatchingBudgetExceeded, _conflict_adjacency,
+                                  _conflict_adjacency, _greedy_extend,
                                   certify_2rb_independent, extract_kmatching,
                                   inneighbor_hypergraph, is_b_matching,
                                   matching_solution_from_packing,
                                   sparsify_to_independent)
-from distdom.lp import LpSolution, independence_lp, ratio, solve
+from distdom.lp import LpSolution, independence_lp, ratio, solve, threshold
 from distdom.oracles import OracleBudget, brute_alpha_2r, brute_alpha_2rb
 from distdom.ordering import heuristic_ordering
 
@@ -21,13 +22,13 @@ from lp_reference import bmatching_lp
 from oracles_reference import brute_bmatching
 
 
-def out_bounded_set(aug, strategy, pack):
+def out_bounded_set(aug, pack):
     """Y as analyze extracts it: a k-matching (k = Delta_r) of the
     inneighbor hypergraph, seeded from the packing optimum."""
     h = inneighbor_hypergraph(aug)
     k = indegree_profile(aug).delta[aug.r]
     m = matching_solution_from_packing(h, pack)
-    return frozenset(extract_kmatching(h, k, m, strategy).selected)
+    return frozenset(extract_kmatching(h, k, m).selected)
 
 
 def test_inneighbor_hypergraph_path(path3):
@@ -59,19 +60,19 @@ def test_threshold_triangle(triangle_hypergraph):
     # m_e = 1/2 for all three edges: the threshold at 1/1 keeps nothing,
     # greedy extension then picks one edge
     m = LpSolution("optimal", (ratio(1, 2),) * 3, ratio(3, 2))
-    bm = extract_kmatching(triangle_hypergraph, 1, m, "threshold")
-    assert bm.selected == frozenset()
-    bm = extract_kmatching(triangle_hypergraph, 1, m, "threshold+greedy")
-    assert len(bm.selected) == 1
+    assert all(val < threshold(m, 1) for val in m.values)
+    assert len(_greedy_extend(triangle_hypergraph, 1, set())) == 1
+    assert len(extract_kmatching(triangle_hypergraph, 1, m).selected) == 1
 
 
 def test_exact_triangle(triangle_hypergraph):
     # frozen oracle values: mu_1 = 1, mu_2 = 3, mu*_1 = 3/2
     m = solve(bmatching_lp(triangle_hypergraph, 1))
-    bm = extract_kmatching(triangle_hypergraph, 1, m, "exact")
+    bm = extract_kmatching(triangle_hypergraph, 1, m)
+    assert bm.method == "exact"
     assert len(bm.selected) == brute_bmatching(triangle_hypergraph, 1).value == 1
     bm2 = extract_kmatching(triangle_hypergraph, 2,
-                            solve(bmatching_lp(triangle_hypergraph, 1)), "exact")
+                            solve(bmatching_lp(triangle_hypergraph, 1)))
     assert len(bm2.selected) == brute_bmatching(triangle_hypergraph, 2).value == 3
 
 
@@ -80,30 +81,30 @@ def _disjoint_edges(ne):
     return h, LpSolution("optimal", (1,) * ne, ne)
 
 
-def test_exact_respects_edge_budget():
+def test_exact_respects_edge_budget(monkeypatch):
+    # one edge over the limit: threshold+greedy, and no exact search
+    def no_search(h, k, incumbent):
+        raise AssertionError("exact search ran over the edge limit")
+
+    monkeypatch.setattr(independence, "_exact_max_kmatching", no_search)
     ne = EXACT_MATCHING_MAX_EDGES + 1
     h, m = _disjoint_edges(ne)
-    with pytest.raises(MatchingBudgetExceeded, match=f"{ne} edges"):
-        extract_kmatching(h, 1, m, "exact")
+    bm = extract_kmatching(h, 1, m)
+    assert bm.method == "threshold+greedy" and len(bm.selected) == ne
 
 
 def test_exact_accepts_budget_edges():
     h, m = _disjoint_edges(EXACT_MATCHING_MAX_EDGES)
-    bm = extract_kmatching(h, 1, m, "exact")
+    bm = extract_kmatching(h, 1, m)
+    assert bm.method == "exact"
     assert len(bm.selected) == EXACT_MATCHING_MAX_EDGES
-
-
-def test_unknown_strategy(triangle_hypergraph):
-    m = solve(bmatching_lp(triangle_hypergraph, 1))
-    with pytest.raises(ValueError):
-        extract_kmatching(triangle_hypergraph, 1, m, "nope")
 
 
 def test_exact_at_least_half_fractional_c5(cycle5):
     ordering = heuristic_ordering(cycle5)
     aug = augment_from_ordering(cycle5, ordering, 1)
     pack = solve(independence_lp(all_balls(cycle5, 1)))
-    y = out_bounded_set(aug, "exact", pack)
+    y = out_bounded_set(aug, pack)
     assert len(y) >= math.ceil(pack.objective / 2)
 
 
@@ -164,21 +165,20 @@ def test_hypergraph_validation():
         Hypergraph(2, ((0, frozenset({5})),))
 
 
-@given(graphs(min_n=1, max_n=7), st.integers(1, 2),
-       st.sampled_from(["threshold", "threshold+greedy", "exact"]))
+@given(graphs(min_n=1, max_n=7), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
-def test_pipeline_properties(g, r, strategy):
+def test_pipeline_properties(g, r):
     ordering = heuristic_ordering(g)
     aug = augment_from_ordering(g, ordering, r)
     aug2 = augment_from_ordering(g, ordering, 2 * r)
     balls = all_balls(g, r)
     k = indegree_profile(aug).delta[r]
     pack = solve(independence_lp(balls))
-    y = out_bounded_set(aug, strategy, pack)
+    y = out_bounded_set(aug, pack)
     h = inneighbor_hypergraph(aug)
     assert is_b_matching(h, y, k)
-    if strategy == "exact":
-        assert len(y) >= math.ceil(pack.objective / 2)
+    # at most 7 edges: the exact search runs
+    assert len(y) >= math.ceil(pack.objective / 2)
     # certified against b = any upper bound on per-ball hits; use the
     # brute count itself to keep the property tight
     b = max((certify_2rb_independent(balls, y, g.n).count, 1))

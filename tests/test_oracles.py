@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdom.graph import ball_masks, distance, from_edges
-from distdom.independence import is_b_matching
+from distdom.graph import all_balls, ball_masks, distance, from_edges
+from distdom.independence import (Hypergraph, certify_2rb_independent,
+                                  is_b_matching)
 from distdom.oracles import (BudgetExceeded, OracleBudget, brute_alpha_2r,
                              brute_alpha_2rb, brute_gamma_r, brute_wcol,
                              exists_r_dominating)
@@ -110,6 +111,20 @@ def test_alpha_2rb_monotone_in_b(g, r, b):
     assert (brute_alpha_2rb(g, r, b).value
             <= brute_alpha_2rb(g, r, b + 1).value)
     assert brute_alpha_2rb(g, r, 1).value == brute_alpha_2r(g, r).value
+
+
+@given(graphs(min_n=1, max_n=12), st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_alpha_oracles_match_ball_bmatching(g, r, b):
+    # a (2r,b)-independent set is a b-matching of the hypergraph whose
+    # edge v holds the balls that contain v: N_r[v], by symmetry
+    balls = all_balls(g, r)
+    h = Hypergraph(g.n, tuple([(v, ball_v) for v, ball_v in enumerate(balls)]))
+    for bb, (value, witness) in [(b, brute_alpha_2rb(g, r, b)),
+                                 (1, brute_alpha_2r(g, r))]:
+        assert value == brute_bmatching(h, bb).value
+        assert len(witness) == value
+        assert certify_2rb_independent(balls, witness, bb).ok
 
 
 @pytest.mark.parametrize("call", [
