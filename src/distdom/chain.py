@@ -31,7 +31,7 @@ CSV_COLUMNS = [
     "id", "n", "m", "r", "w_r", "w_2r", "b", "k", "d",
     "gamma_star", "alpha_star", "xn", "x0", "y", "y1",
     "oracle_gamma", "oracle_alpha", "oracle_alpha_b",
-    "matching_strategy", "exact_mode",
+    "exact_mode",
     "dominating_valid", "y_certified", "y1_independent", "aug_verified",
     "deltas_match", "duality_ok", "rounding_ok", "half_ok", "sparsify_ok",
     "oracle_ok", "all_ok", "t_ms",
@@ -77,7 +77,6 @@ class ChainReport:
     x0_size: int
     y_size: int
     y1_size: int
-    matching_strategy: str
     exact_mode: bool
     dominating_valid: bool
     y_certified: bool
@@ -115,12 +114,10 @@ class ChainReport:
             "duality_ok": (self.lp_certified
                            and abs(self.gamma_star - self.alpha_star) <= eq_tol),
             "rounding_ok": self.xn_size <= self.b * self.gamma_star + eq_tol,
+            # Y is a maximal k-matching of the inneighbor hypergraph
+            "half_ok": 2 * self.y_size >= self.alpha_star - eq_tol,
             "sparsify_ok": 2 * self.d * self.y1_size >= self.y_size,
         }
-        if self.matching_strategy == "exact":
-            checks["half_ok"] = 2 * self.y_size >= self.alpha_star - eq_tol
-        else:
-            checks["half_ok"] = True  # no guarantee claimed for heuristics
         oracle_ok = True
         if self.oracle_gamma is not None:
             oracle_ok &= self.alpha_star <= self.oracle_gamma + eq_tol
@@ -146,7 +143,7 @@ class ChainReport:
             self.xn_size, self.x0_size, self.y_size, self.y1_size,
             _opt(self.oracle_gamma), _opt(self.oracle_alpha),
             _opt(self.oracle_alpha_b),
-            self.matching_strategy, int(self.exact_mode),
+            int(self.exact_mode),
             int(self.dominating_valid), int(self.y_certified),
             int(self.y1_independent),
             _opt(None if self.aug_verified is None else int(self.aug_verified)),
@@ -224,8 +221,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     t0 = time.perf_counter()
     h = inneighbor_hypergraph(aug_r)
     m_sol = matching_solution_from_packing(h, sol_y)
-    matching = extract_kmatching(h, k, m_sol)
-    y = frozenset(matching.selected)
+    y = extract_kmatching(h, k, m_sol)
     cert = certify_2rb_independent(balls, y, b)
     # an uncertified Y is reported (y_certified = 0), not sparsified
     y1 = sparsify_to_independent(balls, y, b, d) if cert.ok else frozenset()
@@ -249,7 +245,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
         gamma_star=sol_x.objective, alpha_star=sol_y.objective,
         xn_size=len(dom.vertices), x0_size=dom.x0_size,
         y_size=len(y), y1_size=len(y1),
-        matching_strategy=matching.method, exact_mode=mode != "float",
+        exact_mode=mode != "float",
         dominating_valid=dom.valid,
         y_certified=cert.ok,
         y1_independent=certify_2rb_independent(balls, y1, 1).ok,

@@ -14,7 +14,7 @@ from .instances import (build_h_r, clique_hypergraph, covering_hard_hypergraph,
                         grid_graph, random_degenerate_graph)
 from .oracles import OracleBudget
 
-CSV_HEADER_COMMENT = "# distdom chain-report v1"
+CSV_HEADER_COMMENT = "# distdom chain-report v2"
 
 
 def _budget_from_args(args) -> OracleBudget:
@@ -43,13 +43,12 @@ def _config_from_args(args) -> AnalyzeConfig:
     )
 
 
-def _write_csv(reports: list[ChainReport], stream, with_timing: bool = True) -> None:
-    cols = CSV_COLUMNS if with_timing else CSV_COLUMNS[:-1]
-    stream.write(CSV_HEADER_COMMENT + " columns: " + ",".join(cols) + "\n")
+def _write_csv(reports: list[ChainReport], stream) -> None:
+    stream.write(CSV_HEADER_COMMENT + " columns: " + ",".join(CSV_COLUMNS) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(cols)
+    writer.writerow(CSV_COLUMNS)
     for rep in reports:
-        writer.writerow(rep.csv_row(with_timing=with_timing))
+        writer.writerow(rep.csv_row())
 
 
 def _load_corpus(args) -> list[CorpusInstance]:
@@ -104,10 +103,8 @@ def cmd_generate(args) -> int:
         payload = to_json(g, {"orientation": [list(e) for e in orient], "d": args.d})
     elif args.family == "clique-hr":
         payload = build_h_r(clique_hypergraph(args.n), args.r).to_json()
-    elif args.family == "covering-hard":
+    else:  # covering-hard; argparse's choices admit no other family
         payload = build_h_r(covering_hard_hypergraph(args.n), args.r).to_json()
-    else:
-        raise SystemExit(f"unknown family {args.family!r}")
     if args.out:
         with open(args.out, "w") as f:
             f.write(payload + "\n")
@@ -168,7 +165,7 @@ def main(argv=None) -> int:
     """Run one subcommand.  Exit status 0: every check passed; 1: a check
     failed (the report says which); 2: bad input (a malformed or missing
     graph file, an out-of-range parameter); 3: a stage could not finish
-    (a pivot or search limit).  Statuses 2 and 3 print one line."""
+    (the pivot limit).  Statuses 2 and 3 print one line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,14 +8,9 @@ from .augment import Augmentation
 from .augment import indegree_profile  # unused; a patch point of perfbench/tracer.py
 from .graph import VertexSet
 from .graph import all_balls  # unused; a patch point of perfbench/tracer.py
-from .lp import (FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution, solve,
-                 threshold)
+from .lp import LpSolution, threshold
+from .lp import solve  # unused; a patch point of perfbench/tracer.py
 from .ordering import _peel
-
-# Largest hypergraph (in edges) that gets the exact k-matching search, and
-# the search's branch-and-bound node budget.
-EXACT_MATCHING_MAX_EDGES = 60
-MATCHING_MAX_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -34,13 +29,6 @@ class Hypergraph:
                 raise ValueError(f"edge {lab} is empty")
             if any(not 0 <= v < self.nv for v in members):
                 raise ValueError(f"edge {lab} has out-of-range members")
-
-
-@dataclass(frozen=True)
-class BMatching:
-    selected: frozenset  # edge labels
-    b: int
-    method: str  # exact | threshold+greedy
 
 
 def is_b_matching(h: Hypergraph, labels, b: int) -> bool:
@@ -65,12 +53,9 @@ def matching_solution_from_packing(h: Hypergraph, y: LpSolution) -> LpSolution:
     inneighbor hypergraph: m_{e_u} = y_u, feasible by construction."""
     if y.status != "optimal" or y.values is None:
         raise ValueError("need an optimal packing solution")
+    # the edges are labeled by the vertices, so the objective is y's own
     values = tuple([y.values[lab] for lab, _m in h.edges])
-    return LpSolution("optimal", values, sum(values))
-
-
-class MatchingBudgetExceeded(RuntimeError):
-    pass
+    return LpSolution("optimal", values, y.objective)
 
 
 def _greedy_extend(h: Hypergraph, k: int, selected: set) -> set:
@@ -89,84 +74,20 @@ def _greedy_extend(h: Hypergraph, k: int, selected: set) -> set:
     return selected
 
 
-def _relaxation_value(h: Hypergraph, k: int, fixed: dict) -> tuple[object, tuple | None]:
-    """Float LP bound for max k-matching with some edges fixed in or out.
-    Returns (bound, fractional values of the free edges) or (None, None)
-    when the fixing is already infeasible."""
-    residual = {v: k for lab, members in h.edges for v in members}
-    free: list[int] = []
-    base = 0
-    for j, (lab, members) in enumerate(h.edges):
-        state = fixed.get(lab)
-        if state == 1:
-            base += 1
-            for v in members:
-                residual[v] -= 1
-        elif state is None:
-            free.append(j)
-    if any(c < 0 for c in residual.values()):
-        return None, None
-    if not free:
-        return base, ()
-    incident: dict[int, list[int]] = {}
-    for jj, j in enumerate(free):
-        for v in h.edges[j][1]:
-            incident.setdefault(v, []).append(jj)
-    rows = tuple([(tuple([(jj, 1) for jj in js]), "<=", residual[v])
-                  for v, js in sorted(incident.items())])
-    lp = LinearProgram("max", (1,) * len(free), rows, ((0, 1),) * len(free))
-    sol = solve(lp, "float")
-    if sol.status != "optimal":
-        return None, None
-    return base + sol.objective, sol.values
+def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> frozenset:
+    """Labels of a maximal k-matching M, from a feasible fractional
+    1-matching m: the edges with m_e >= 1/k, extended greedily.
 
-
-def _exact_max_kmatching(h: Hypergraph, k: int, incumbent: set) -> set:
-    """Branch-and-bound on edge variables with float-LP bounds; the LP of
-    the k-matching relaxation is tight enough that few nodes are explored."""
-    best = set(incumbent)
-    nodes = 0
-    stack: list[dict] = [{}]
-    while stack:
-        fixed = stack.pop()
-        nodes += 1
-        if nodes > MATCHING_MAX_NODES:
-            raise MatchingBudgetExceeded(
-                f"k-matching search exceeded {MATCHING_MAX_NODES} nodes")
-        bound, values = _relaxation_value(h, k, fixed)
-        if bound is None or int(bound + FLOAT_TOL) <= len(best):
-            continue
-        free = [(j, lab) for j, (lab, _m) in enumerate(h.edges)
-                if lab not in fixed]
-        frac_j = None
-        frac_dist = -1.0
-        vals = {}
-        for jj, (j, lab) in enumerate(free):
-            v = values[jj]
-            vals[lab] = v
-            d = min(v, 1 - v)
-            if d > FLOAT_EPS and d > frac_dist:
-                frac_dist = d
-                frac_j = lab
-        if frac_j is None:
-            candidate = {lab for lab, s in fixed.items() if s == 1}
-            candidate |= {lab for lab, v in vals.items() if v >= 1 - FLOAT_TOL}
-            if is_b_matching(h, candidate, k) and len(candidate) > len(best):
-                best = candidate
-            continue
-        stack.append({**fixed, frac_j: 0})
-        stack.append({**fixed, frac_j: 1})  # explored first (include branch)
-    return best
-
-
-def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> BMatching:
-    """Integral k-matching from a feasible fractional 1-matching.
-
-    The edges with m_e >= 1/k (always a valid k-matching), extended
-    greedily.  On hypergraphs of at most EXACT_MATCHING_MAX_EDGES edges,
-    branch-and-bound from there finds a maximum k-matching, which is
-    guaranteed at least half of the fractional 1-matching optimum; the
-    method field says whether it ran ("exact") or not ("threshold+greedy").
+    The threshold edges form a k-matching, since m puts at most 1 on the
+    edges at a vertex.  The charging argument of Bansal and Umboh (IPL
+    2017) then gives 2|M| >= sum(m) for any maximal k-matching M:
+    - each edge e_u of the inneighbor hypergraph has |e_u| <= Delta_r = k;
+    - m is a fractional 1-matching, and m_e <= 1, so the edges of M carry
+      at most |M|;
+    - let S be the vertices that lie in exactly k edges of M; every edge
+      outside M meets S, so sum_{e not in M} m_e <= |S|;
+    - k|S| <= sum_{e in M} |e| <= k|M|, so |S| <= |M|;
+    - hence sum(m) <= |M| + |S| <= 2|M|.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -175,12 +96,8 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> BMatching:
     cut = threshold(m, k)
     selected = {lab for (lab, _mem), val in zip(h.edges, m.values) if val >= cut}
     selected = _greedy_extend(h, k, selected)
-    method = "threshold+greedy"
-    if len(h.edges) <= EXACT_MATCHING_MAX_EDGES:
-        selected = _exact_max_kmatching(h, k, selected)
-        method = "exact"
     assert is_b_matching(h, selected, k)
-    return BMatching(frozenset(selected), k, method)
+    return frozenset(selected)
 
 
 @dataclass(frozen=True)

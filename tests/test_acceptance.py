@@ -91,17 +91,11 @@ def test_criterion_03_r1_specialization(corpus_runs):
 
 def test_criterion_04_independence_guarantee(corpus_runs):
     failures = []
-    seen = 0
     for inst, rep in corpus_runs:
-        if rep.matching_strategy != "exact":
-            continue
-        seen += 1
         if rep.y_size < math.ceil(rep.alpha_star / 2):
             failures.append(f"{inst.id}: |Y|={rep.y_size} < ceil(alpha*/2)")
         if not rep.y_certified:
             failures.append(f"{inst.id}: (2r,b)-independence certificate failed")
-    if seen == 0:
-        failures.append("no instances ran the exact matching strategy")
     _verdict(4, "independence guarantee", failures)
 
 

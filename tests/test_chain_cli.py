@@ -11,7 +11,6 @@ from distdom.chain import (CSV_COLUMNS, AnalyzeConfig, CorpusInstance, analyze,
                            default_corpus, verify_chain)
 from distdom.cli import CSV_HEADER_COMMENT, main
 from distdom.graph import from_edges, to_json
-from distdom.independence import BMatching
 from distdom.instances import grid_graph
 from distdom.oracles import OracleBudget
 
@@ -99,6 +98,21 @@ def test_duality_needs_packing_certificate(cycle5, small_cfg):
     assert not bad.all_ok()
 
 
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+def test_half_ok_checks_every_report(cycle6, mode):
+    import dataclasses
+    cfg = AnalyzeConfig(mode=mode, oracle_budget=OracleBudget(max_vertices=10))
+    rep = analyze(CorpusInstance("c6", cycle6, 1), cfg)
+    assert rep.exact_mode == (mode != "float") and rep.inequalities()["half_ok"]
+    # alpha* = 2 on C6 with r = 1; an empty Y and Y1 break only 2|Y| >= alpha*
+    bad = dataclasses.replace(rep, y_size=0, y1_size=0)
+    checks = bad.inequalities()
+    assert not checks["half_ok"]
+    assert all(ok for name, ok in checks.items() if name != "half_ok")
+    obj = json.loads(bad.to_json())
+    assert obj["half_ok"] == 0 and obj["all_ok"] == 0 and not bad.all_ok()
+
+
 @pytest.mark.parametrize("inst_id", ["rdeg-d2-n14-r1", "cycle6-r2"])
 def test_analyze_builds_each_table_once(monkeypatch, small_cfg, inst_id):
     # the r-ball table and the two in-degree profiles are built once, in
@@ -178,7 +192,7 @@ def test_uncertified_y_is_reported(tmp_path, monkeypatch, small_cfg):
     # it 6 > b times, so Y is reported uncertified and not sparsified
     star = from_edges(6, [(0, i) for i in range(1, 6)])
     monkeypatch.setattr(chain, "extract_kmatching",
-                        lambda h, k, m: BMatching(frozenset(range(6)), k, "exact"))
+                        lambda h, k, m: frozenset(range(6)))
     rep = analyze(CorpusInstance("star6", star, 1), small_cfg)
     assert rep.b == 3 and rep.y_size == 6
     assert not rep.y_certified and rep.y1_size == 0 and not rep.all_ok()

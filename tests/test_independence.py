@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdom import independence
 from distdom.augment import augment_from_ordering, indegree_profile
 from distdom.graph import all_balls, distance, from_edges
-from distdom.independence import (EXACT_MATCHING_MAX_EDGES, Hypergraph,
-                                  _conflict_adjacency, _greedy_extend,
-                                  certify_2rb_independent, extract_kmatching,
-                                  inneighbor_hypergraph, is_b_matching,
+from distdom.independence import (Hypergraph, _conflict_adjacency,
+                                  _greedy_extend, certify_2rb_independent,
+                                  extract_kmatching, inneighbor_hypergraph,
+                                  is_b_matching,
                                   matching_solution_from_packing,
                                   sparsify_to_independent)
 from distdom.lp import LpSolution, independence_lp, ratio, solve, threshold
@@ -28,7 +27,7 @@ def out_bounded_set(aug, pack):
     h = inneighbor_hypergraph(aug)
     k = indegree_profile(aug).delta[aug.r]
     m = matching_solution_from_packing(h, pack)
-    return frozenset(extract_kmatching(h, k, m).selected)
+    return extract_kmatching(h, k, m)
 
 
 def test_inneighbor_hypergraph_path(path3):
@@ -56,48 +55,53 @@ def test_matching_reindex(triangle_hypergraph):
                                        LpSolution("infeasible", None, None))
 
 
+def test_matching_reindex_keeps_float_optimum():
+    # an empty float answer stays a float answer, so its 1/k cut is a float
+    y = solve(independence_lp([]), "float")
+    m = matching_solution_from_packing(Hypergraph(0, ()), y)
+    assert isinstance(threshold(m, 2), float)
+
+
 def test_threshold_triangle(triangle_hypergraph):
     # m_e = 1/2 for all three edges: the threshold at 1/1 keeps nothing,
     # greedy extension then picks one edge
     m = LpSolution("optimal", (ratio(1, 2),) * 3, ratio(3, 2))
     assert all(val < threshold(m, 1) for val in m.values)
     assert len(_greedy_extend(triangle_hypergraph, 1, set())) == 1
-    assert len(extract_kmatching(triangle_hypergraph, 1, m).selected) == 1
+    assert len(extract_kmatching(triangle_hypergraph, 1, m)) == 1
 
 
-def test_exact_triangle(triangle_hypergraph):
+def test_triangle_kmatching(triangle_hypergraph):
     # frozen oracle values: mu_1 = 1, mu_2 = 3, mu*_1 = 3/2
     m = solve(bmatching_lp(triangle_hypergraph, 1))
-    bm = extract_kmatching(triangle_hypergraph, 1, m)
-    assert bm.method == "exact"
-    assert len(bm.selected) == brute_bmatching(triangle_hypergraph, 1).value == 1
-    bm2 = extract_kmatching(triangle_hypergraph, 2,
-                            solve(bmatching_lp(triangle_hypergraph, 1)))
-    assert len(bm2.selected) == brute_bmatching(triangle_hypergraph, 2).value == 3
+    assert m.objective == ratio(3, 2)
+    assert (len(extract_kmatching(triangle_hypergraph, 1, m))
+            == brute_bmatching(triangle_hypergraph, 1).value == 1)
+    assert (len(extract_kmatching(triangle_hypergraph, 2, m))
+            == brute_bmatching(triangle_hypergraph, 2).value == 3)
 
 
-def _disjoint_edges(ne):
-    h = Hypergraph(ne, tuple([(j, frozenset({j})) for j in range(ne)]))
-    return h, LpSolution("optimal", (1,) * ne, ne)
+@st.composite
+def small_edge_hypergraphs(draw):
+    """A hypergraph whose edges have at most k members, and that k."""
+    nv = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=1,
+                                  max_size=k), max_size=12))
+    return Hypergraph(nv, tuple([(j, frozenset(e)) for j, e in enumerate(edges)])), k
 
 
-def test_exact_respects_edge_budget(monkeypatch):
-    # one edge over the limit: threshold+greedy, and no exact search
-    def no_search(h, k, incumbent):
-        raise AssertionError("exact search ran over the edge limit")
-
-    monkeypatch.setattr(independence, "_exact_max_kmatching", no_search)
-    ne = EXACT_MATCHING_MAX_EDGES + 1
-    h, m = _disjoint_edges(ne)
-    bm = extract_kmatching(h, 1, m)
-    assert bm.method == "threshold+greedy" and len(bm.selected) == ne
-
-
-def test_exact_accepts_budget_edges():
-    h, m = _disjoint_edges(EXACT_MATCHING_MAX_EDGES)
-    bm = extract_kmatching(h, 1, m)
-    assert bm.method == "exact"
-    assert len(bm.selected) == EXACT_MATCHING_MAX_EDGES
+@given(small_edge_hypergraphs())
+@settings(max_examples=150, deadline=None)
+def test_maximal_kmatching_has_half_the_fractional_optimum(hk):
+    h, k = hk
+    m = solve(bmatching_lp(h, 1))
+    chosen = extract_kmatching(h, k, m)
+    assert is_b_matching(h, chosen, k)
+    # maximal: no further edge fits
+    for lab, _members in h.edges:
+        assert lab in chosen or not is_b_matching(h, chosen | {lab}, k)
+    assert 2 * len(chosen) >= m.objective
 
 
 def test_exact_at_least_half_fractional_c5(cycle5):
@@ -177,7 +181,6 @@ def test_pipeline_properties(g, r):
     y = out_bounded_set(aug, pack)
     h = inneighbor_hypergraph(aug)
     assert is_b_matching(h, y, k)
-    # at most 7 edges: the exact search runs
     assert len(y) >= math.ceil(pack.objective / 2)
     # certified against b = any upper bound on per-ball hits; use the
     # brute count itself to keep the property tight
