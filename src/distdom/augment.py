@@ -3,10 +3,11 @@ the loop and distance-representation conditions, plus indegree statistics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import or_, xor
 from typing import Iterable
 
-from .graph import Graph, _bfs
+from .graph import Graph
 from .ordering import Ordering, WeakReachProfile, weak_reach
 
 
@@ -47,14 +48,6 @@ class Augmentation:
     def n(self) -> int:
         return self.base.n
 
-    def out_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Arcs grouped by tail: out[u] lists (head, rho)."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for v, arcs in enumerate(self.in_arcs):
-            for t, rho in arcs:
-                out[t].append((v, rho))
-        return tuple([tuple(sorted(a)) for a in out])
-
 
 @dataclass(frozen=True)
 class IndegreeProfile:
@@ -80,17 +73,19 @@ def indegree_profile(aug: Augmentation) -> IndegreeProfile:
     return IndegreeProfile(aug.r, tuple(deg), delta)
 
 
-def _arcs_from_profile(profile: WeakReachProfile, r: int):
-    return tuple([tuple(sorted((u, d) for u, d in mr.items() if d <= r))
-                  for mr in profile.min_reach])
-
-
 def augmentation_from_profile(g: Graph, profile: WeakReachProfile,
                               r: int) -> Augmentation:
-    """Arcs u->v for u in Q_r(v), with rho = min r' such that u in Q_{r'}(v)."""
+    """Arcs u->v for u in Q_r(v), with rho = min r' such that u in Q_{r'}(v).
+
+    At r = K the in-arc lists are the profile's own pair lists; at r < K
+    they keep the pairs with rho <= r, so both augmentations share one set
+    of pair tuples."""
     if r > profile.K:
         raise ValueError(f"profile only covers k <= {profile.K}")
-    return Augmentation(g, r, _arcs_from_profile(profile, r))
+    arcs = profile.min_reach
+    if r < profile.K:
+        arcs = tuple([tuple([p for p in pairs if p[1] <= r]) for pairs in arcs])
+    return Augmentation(g, r, arcs)
 
 
 def augment_from_ordering(g: Graph, ordering: Ordering, r: int) -> Augmentation:
@@ -135,13 +130,17 @@ def verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationReport:
     Violations are reported as (u, v, r', direction) tuples, ordered by
     (u, v).
 
-    Both sides are compared capped at r+1, and only values <= r are
-    stored: best[u] maps v to the least rho(xu) + rho(xv) <= r, and row u
-    of the distances is the BFS ball of radius r around u.  A pair absent
-    from both agrees at r+1, so every pair is still decided.  Each tail's
-    out-arcs are scanned in order of rho and the scan stops once a sum
-    exceeds r.  The cost is the number of arc pairs with a sum <= r plus
-    the sizes of the radius-r balls, instead of n^2.
+    Both sides are compared level by level as bitmasks over the vertices.
+    For every vertex u and level k <= r, D_k[u] holds the vertices within
+    distance k of u (k rounds of ORs over the neighbours' masks) and B_k[u]
+    the vertices v with a common inneighbor x at rho(xu) + rho(xv) <= k
+    (the OR, over the in-arcs x->u, of the heads of x's arcs of length
+    <= k - rho(xu)).  The two sides agree at u iff D_k[u] == B_k[u] for
+    every k.  The masks cost (r+1)(n + m + arcs) ORs, and 2(r+1)n masks
+    of up to n bits each are held at once.  Only a vertex whose masks
+    differ goes pair by pair, over the vertices v where they differ: the
+    distance and the least sum of (u, v) are the least levels that hold v
+    on each side, r+1 when none does.
     """
     if aug.base is not g:
         if aug.base.adj != g.adj or aug.base.n != g.n:
@@ -149,31 +148,42 @@ def verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationReport:
     n = g.n
     r = aug.r
     cap = r + 1
-    violations: list[tuple] = []
+    in_arcs = aug.in_arcs
 
-    best: list[dict[int, int]] = [{} for _ in range(n)]
-    for arcs in aug.out_arcs():
-        by_rho = sorted(arcs, key=itemgetter(1))
-        for u, rho_u in by_rho:
-            row = best[u]
-            for v, rho_v in by_rho:
-                s = rho_u + rho_v
-                if s > r:
-                    break
-                if s < row.get(v, cap):
-                    row[v] = s
-    for u in range(n):
-        dist = _bfs(g, u, r)
-        row = best[u]
-        if dist == row:
+    # heads[x][j]: the heads v of the arcs x->v with rho <= j
+    heads = [[0] * cap for _ in range(n)]
+    for v, arcs in enumerate(in_arcs):
+        bit = 1 << v
+        for t, rho in arcs:
+            heads[t][rho] |= bit
+    for row in heads:
+        for j in range(1, cap):
+            row[j] |= row[j - 1]
+    near = [[1 << u for u in range(n)]]
+    for _ in range(r):
+        prev = near[-1]
+        near.append([reduce(or_, map(prev.__getitem__, nbrs), prev[u])
+                     for u, nbrs in enumerate(g.adj)])
+    violations: list[tuple] = []
+    for u, arcs in enumerate(in_arcs):
+        sums = [0] * cap
+        for x, a in arcs:
+            row = heads[x]
+            for k in range(a, cap):
+                sums[k] |= row[k - a]
+        dists = [level[u] for level in near]
+        if sums == dists:
             continue
-        for v in sorted(dist.keys() | row.keys()):
-            d, b = dist.get(v, cap), row.get(v, cap)
-            if d == b:
-                continue
+        # the least level of v on each side, cap when v is on neither
+        differ = reduce(or_, map(xor, sums, dists))
+        while differ:
+            bit = differ & -differ
+            differ ^= bit
+            v = bit.bit_length() - 1
+            d = next((k for k, m in enumerate(dists) if m & bit), cap)
+            b = next((k for k, m in enumerate(sums) if m & bit), cap)
             if b < d:
                 violations.append((u, v, b, "inneighbor-sum below distance"))
             else:
                 violations.append((u, v, d, "no common inneighbor within distance"))
     return AugmentationReport(not violations, tuple(violations))
-

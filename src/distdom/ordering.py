@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .graph import Graph
 
@@ -43,26 +43,29 @@ class Ordering:
 class WeakReachProfile:
     """Weak k-accessibility data of one ordering, for all k = 0..K at once.
 
-    min_reach[v] maps u -> the least k such that u is weakly k-accessible
-    from v; Q_k(v) and the wcol_k values of the ordering derive from it.
+    min_reach[v] lists the (u, k) pairs, sorted by u, where k is the least
+    radius at which u is weakly k-accessible from v: Q_k(v) is the set of
+    u with a pair k' <= k.  It is the in-arc list of v in the
+    K-augmentation of the ordering, and one pair tuple serves every vertex
+    that reaches the same u at the same radius.  wcols[k] is
+    max_v |Q_k(v)|, 0 on the empty graph.
     """
 
     K: int
-    min_reach: tuple[dict, ...]
+    min_reach: tuple[tuple[tuple[int, int], ...], ...]
+    wcols: tuple[int, ...]
 
-    def q_set(self, v: int, k: int) -> frozenset:
+    def _check_k(self, k: int) -> None:
         if not 0 <= k <= self.K:
             raise ValueError(f"k={k} outside computed range 0..{self.K}")
-        return frozenset(u for u, d in self.min_reach[v].items() if d <= k)
 
     def q_count(self, v: int, k: int) -> int:
-        if not 0 <= k <= self.K:
-            raise ValueError(f"k={k} outside computed range 0..{self.K}")
-        return sum(1 for d in self.min_reach[v].values() if d <= k)
+        self._check_k(k)
+        return sum(1 for _u, d in self.min_reach[v] if d <= k)
 
     def wcol(self, k: int) -> int:
-        return max((self.q_count(v, k) for v in range(len(self.min_reach))),
-                   default=0)
+        self._check_k(k)
+        return self.wcols[k]
 
 
 def weak_reach(g: Graph, ordering: Ordering, K: int) -> WeakReachProfile:
@@ -71,27 +74,44 @@ def weak_reach(g: Graph, ordering: Ordering, K: int) -> WeakReachProfile:
     u is weakly k-accessible from v when some path of length <= k joins
     them and every vertex on the path ranks at least as high as u.  One
     BFS per candidate minimum u, restricted to ranks >= position[u],
-    discovers all v with u in Q_k(v).
+    discovers all v with u in Q_k(v).  The candidates go by increasing id,
+    so every vertex's pair list comes out sorted by u without a sort, and
+    the same pass counts each vertex's pairs per radius for wcol_k.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     pos = ordering.position
-    min_reach: tuple[dict, ...] = tuple([{} for _ in range(g.n)])
-    for u in range(g.n):
+    adj = g.adj
+    n = g.n
+    reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # at_radius[d][v]: the number of pairs (u, d) of v
+    at_radius = [[1] * n] + [[0] * n for _ in range(K)]
+    seen_from = [-1] * n
+    for u in range(n):
         base = pos[u]
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if dist[w] == K:
-                continue
-            for x in g.adj[w]:
-                if x not in dist and pos[x] >= base:
-                    dist[x] = dist[w] + 1
-                    queue.append(x)
-        for w, d in dist.items():
-            min_reach[w][u] = d
-    return WeakReachProfile(K, min_reach)
+        reach[u].append((u, 0))
+        seen_from[u] = u
+        frontier = [u]
+        for d in range(1, K + 1):
+            pair = (u, d)
+            count = at_radius[d]
+            found = []
+            for w in frontier:
+                for x in adj[w]:
+                    if seen_from[x] != u and pos[x] >= base:
+                        seen_from[x] = u
+                        found.append(x)
+                        reach[x].append(pair)
+                        count[x] += 1
+            if not found:
+                break
+            frontier = found
+    wcols = []
+    q = [0] * n
+    for count in at_radius:
+        q = list(map(add, q, count))
+        wcols.append(max(q, default=0))
+    return WeakReachProfile(K, tuple(map(tuple, reach)), tuple(wcols))
 
 
 def wcol_of_ordering(g: Graph, ordering: Ordering, k: int) -> int:

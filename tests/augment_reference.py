@@ -1,15 +1,18 @@
-"""Smallest-last peeling, the augmentation check and the in-degree
-profile before they became near-linear: a minimum over all live vertices
-at every peeling step, two dense n x n tables compared pair by pair, and
-one pass over all arcs per length bound.  Kept as the reference that
-distdom.ordering._peel, distdom.augment.verify_augmentation and
-distdom.augment.indegree_profile must match element for element."""
+"""Smallest-last peeling, the augmentation builder and check and the
+in-degree profile before they became near-linear: a minimum over all live
+vertices at every peeling step, a sorted arc list per vertex and
+augmentation, two dense n x n tables compared pair by pair, and one pass
+over all arcs per length bound.  Kept as the reference that
+distdom.ordering._peel, distdom.augment.augmentation_from_profile,
+distdom.augment.verify_augmentation and distdom.augment.indegree_profile
+must match element for element."""
 from __future__ import annotations
 
 from collections import deque
 
 from distdom.augment import Augmentation, AugmentationReport, IndegreeProfile
 from distdom.graph import Graph
+from distdom.ordering import WeakReachProfile
 
 
 def reference_peel(adj) -> tuple[list[int], int]:
@@ -31,6 +34,46 @@ def reference_peel(adj) -> tuple[list[int], int]:
                 deg[w] -= 1
     tail.reverse()
     return tail, d
+
+
+def reference_min_reach(g: Graph, position, K: int) -> list[dict[int, int]]:
+    """For every vertex v, u -> the least k <= K such that u is weakly
+    k-accessible from v, by walks out of v: after i steps, best[x] is the
+    largest least rank over the walks of length i from v to x, and u is
+    reached once that least rank is u's own."""
+    out = []
+    for v in range(g.n):
+        best = {v: position[v]}
+        reach = {v: 0}
+        for i in range(1, K + 1):
+            step: dict[int, int] = {}
+            for w, low in best.items():
+                for x in g.adj[w]:
+                    b = min(low, position[x])
+                    if b > step.get(x, -1):
+                        step[x] = b
+            best = step
+            for x, b in step.items():
+                if b == position[x] and x not in reach:
+                    reach[x] = i
+        out.append(reach)
+    return out
+
+
+def reference_arcs_from_profile(profile: WeakReachProfile, r: int):
+    """The in-arc lists of the r-augmentation: for every vertex, its
+    (u, rho) pairs with rho <= r, sorted on their own."""
+    return tuple([tuple(sorted((u, d) for u, d in dict(pairs).items() if d <= r))
+                  for pairs in profile.min_reach])
+
+
+def out_arcs(aug: Augmentation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Arcs grouped by tail: out[u] lists (head, rho)."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(aug.n)]
+    for v, arcs in enumerate(aug.in_arcs):
+        for t, rho in arcs:
+            out[t].append((v, rho))
+    return tuple([tuple(sorted(a)) for a in out])
 
 
 def reference_verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationReport:
@@ -64,7 +107,7 @@ def reference_verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationRe
 
     # best common-inneighbor length sum, capped at r+1
     best = [[r + 1] * n for _ in range(n)]
-    out = aug.out_arcs()
+    out = out_arcs(aug)
     for x in range(n):
         for u, rho_u in out[x]:
             row = best[u]

@@ -33,6 +33,13 @@ def graphs_with_ordering(draw, min_n=1, max_n=8):
     return g, Ordering.from_rank_sequence(seq)
 
 
+def q_set(profile, v: int, k: int) -> frozenset:
+    """Q_k(v) of a weak-reach profile: the u with a pair of radius <= k."""
+    if not 0 <= k <= profile.K:
+        raise ValueError(f"k={k} outside computed range 0..{profile.K}")
+    return frozenset(u for u, d in profile.min_reach[v] if d <= k)
+
+
 @pytest.fixture
 def path3():
     return from_edges(3, [(0, 1), (1, 2)])

@@ -3,13 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdom.augment import (Augmentation, augment_from_ordering,
-                             indegree_profile, orientation_augmentation,
-                             verify_augmentation)
+                             augmentation_from_profile, indegree_profile,
+                             orientation_augmentation, verify_augmentation)
 from distdom.graph import from_edges
-from distdom.instances import random_degenerate_graph
+from distdom.instances import grid_graph, random_degenerate_graph
 from distdom.ordering import Ordering, degeneracy, heuristic_ordering, weak_reach
 
-from augment_reference import (reference_indegree_profile, reference_peel,
+from augment_reference import (reference_arcs_from_profile,
+                               reference_indegree_profile, reference_peel,
                                reference_verify_augmentation)
 from conftest import graphs_with_ordering
 
@@ -54,6 +55,20 @@ def test_ordering_augmentation_verifies(gw, r):
     g, ordering = gw
     aug = augment_from_ordering(g, ordering, r)
     assert verify_augmentation(g, aug).ok
+
+
+@given(graphs_with_ordering(max_n=9), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_arcs_match_reference_and_share_pairs(gw, K):
+    g, ordering = gw
+    profile = weak_reach(g, ordering, K)
+    top = augmentation_from_profile(g, profile, K)
+    for r in range(1, K + 1):
+        aug = augmentation_from_profile(g, profile, r)
+        assert aug.in_arcs == reference_arcs_from_profile(profile, r)
+        for arcs, top_arcs in zip(aug.in_arcs, top.in_arcs):
+            by_tail = {pair[0]: pair for pair in top_arcs}
+            assert all(pair is by_tail[pair[0]] for pair in arcs)
 
 
 @given(graphs_with_ordering(max_n=7))
@@ -175,4 +190,26 @@ def test_large_degenerate_graph_matches_reference():
     broken = Augmentation(g, 2, arcs)
     report = verify_augmentation(g, broken)
     assert not report.ok
+    assert report == reference_verify_augmentation(g, broken)
+
+
+def test_multiword_grid_r4_matches_reference():
+    # n = 400: every distance mask spans several machine words
+    g = grid_graph(20, 20)
+    aug = augment_from_ordering(g, heuristic_ordering(g), 4)
+    report = verify_augmentation(g, aug)
+    assert report.ok
+    assert report == reference_verify_augmentation(g, aug)
+    # every 37th vertex loses its non-loop in-arcs, and every 53rd gets an
+    # arc of length 1 from a vertex 3 ids on, which is never adjacent
+    arcs = [dict(a) for a in aug.in_arcs]
+    for v in range(0, g.n, 37):
+        arcs[v] = {v: 0}
+    for v in range(0, g.n - 3, 53):
+        arcs[v][v + 3] = 1
+    broken = Augmentation(g, 4, tuple(tuple(sorted(a.items())) for a in arcs))
+    report = verify_augmentation(g, broken)
+    assert not report.ok
+    assert {kind for *_, kind in report.violations} == {
+        "inneighbor-sum below distance", "no common inneighbor within distance"}
     assert report == reference_verify_augmentation(g, broken)

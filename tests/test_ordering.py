@@ -8,16 +8,16 @@ from distdom.ordering import (Ordering, _peel, degeneracy, heuristic_ordering,
                               wcol_of_ordering, weak_reach)
 from distdom.oracles import OracleBudget, brute_wcol
 
-from augment_reference import reference_peel
-from conftest import graphs, graphs_with_ordering
+from augment_reference import reference_min_reach, reference_peel
+from conftest import graphs, graphs_with_ordering, q_set
 
 
 def test_weak_reach_path_k1(path3):
     ordering = Ordering.from_rank_sequence([0, 1, 2])
     prof = weak_reach(path3, ordering, 1)
-    assert prof.q_set(0, 1) == {0}
-    assert prof.q_set(1, 1) == {0, 1}
-    assert prof.q_set(2, 1) == {1, 2}
+    assert q_set(prof, 0, 1) == {0}
+    assert q_set(prof, 1, 1) == {0, 1}
+    assert q_set(prof, 2, 1) == {1, 2}
     assert prof.wcol(1) == 2
 
 
@@ -26,7 +26,7 @@ def test_weak_reach_path_k2(path3):
     # vertex at rank >= rank(0), so 0 is weakly 2-accessible from 2
     ordering = Ordering.from_rank_sequence([0, 1, 2])
     prof = weak_reach(path3, ordering, 2)
-    assert prof.q_set(2, 2) == {0, 1, 2}
+    assert q_set(prof, 2, 2) == {0, 1, 2}
     assert prof.wcol(2) == 3
 
 
@@ -103,11 +103,35 @@ def test_q_sets_nested_and_leftward(cycle6):
     ordering = heuristic_ordering(cycle6)
     prof = weak_reach(cycle6, ordering, 3)
     for v in range(6):
-        assert prof.q_set(v, 0) == {v}
+        assert q_set(prof, v, 0) == {v}
         for k in range(3):
-            assert prof.q_set(v, k) <= prof.q_set(v, k + 1)
-        for u in prof.q_set(v, 3):
+            assert q_set(prof, v, k) <= q_set(prof, v, k + 1)
+        for u in q_set(prof, v, 3):
             assert ordering.position[u] <= ordering.position[v]
+
+
+@given(graphs_with_ordering(max_n=9), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_weak_reach_matches_reference(gw, K):
+    g, ordering = gw
+    prof = weak_reach(g, ordering, K)
+    assert [dict(pairs) for pairs in prof.min_reach] == \
+        reference_min_reach(g, ordering.position, K)
+    for pairs in prof.min_reach:
+        assert [u for u, _ in pairs] == sorted(u for u, _ in pairs)
+    for k in range(K + 1):
+        assert prof.wcol(k) == max(prof.q_count(v, k) for v in range(g.n))
+
+
+def test_wcol_outside_range_raises(path3):
+    empty = from_edges(0, [])
+    for g in (empty, path3):
+        prof = weak_reach(g, heuristic_ordering(g), 2)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="outside computed range"):
+                prof.wcol(k)
+    assert [weak_reach(empty, heuristic_ordering(empty), 2).wcol(k)
+            for k in range(3)] == [0, 0, 0]
 
 
 # the heap-based peeling against the linear-scan reference
