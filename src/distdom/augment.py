@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_, xor
+from operator import add, or_, xor
 from typing import Iterable
 
 from .graph import Graph
@@ -51,26 +51,26 @@ class Augmentation:
 
 @dataclass(frozen=True)
 class IndegreeProfile:
-    """deg[r'][v] = number of in-arcs of v with length <= r' (loop included);
-    delta[r'] is its maximum over v."""
+    """delta[r'] is the largest number of in-arcs of length <= r' (loop
+    included) into one vertex; 1 on the empty graph."""
 
     r: int
-    deg: tuple[tuple[int, ...], ...]
     delta: tuple[int, ...]
 
 
 def indegree_profile(aug: Augmentation) -> IndegreeProfile:
-    # one pass counts the in-arcs of each length; deg[r'] is then the
-    # prefix sum of those counts over lengths 0..r'
+    # one pass counts the in-arcs of each length; the in-degrees at r'
+    # are then the prefix sums of those counts over lengths 0..r'
     counts = [[0] * aug.n for _ in range(aug.r + 1)]
     for v, arcs in enumerate(aug.in_arcs):
         for _t, rho in arcs:
             counts[rho][v] += 1
-    deg = [tuple(counts[0])]
-    for at_rho in counts[1:]:
-        deg.append(tuple([a + b for a, b in zip(deg[-1], at_rho)]))
-    delta = tuple([max(row) if row else 1 for row in deg])
-    return IndegreeProfile(aug.r, tuple(deg), delta)
+    deg = [0] * aug.n
+    delta = []
+    for at_rho in counts:
+        deg = list(map(add, deg, at_rho))
+        delta.append(max(deg, default=1))
+    return IndegreeProfile(aug.r, tuple(delta))
 
 
 def augmentation_from_profile(g: Graph, profile: WeakReachProfile,

@@ -8,26 +8,13 @@ import os
 import sys
 
 from .chain import (CSV_COLUMNS, EXACT_VERTEX_LIMIT, AnalyzeConfig, ChainReport,
-                    CorpusInstance, analyze, default_corpus)
+                    CorpusInstance, analyze, default_corpus, verify_chain)
 from .graph import load_graph, to_json
 from .instances import (build_h_r, clique_hypergraph, covering_hard_hypergraph,
                         grid_graph, random_degenerate_graph)
 from .oracles import OracleBudget
 
 CSV_HEADER_COMMENT = "# distdom chain-report v2"
-
-
-def _budget_from_args(args) -> OracleBudget:
-    if args.budget is not None:
-        return OracleBudget(max_vertices=args.budget)
-    env = os.environ.get("DISTDOM_BUDGET_VERTICES")
-    if not env:
-        return OracleBudget()
-    try:
-        return OracleBudget(max_vertices=int(env))
-    except ValueError:
-        raise ValueError(
-            f"DISTDOM_BUDGET_VERTICES={env!r} is not an integer") from None
 
 
 def _config_from_args(args) -> AnalyzeConfig:
@@ -38,7 +25,8 @@ def _config_from_args(args) -> AnalyzeConfig:
         mode = "float"
     return AnalyzeConfig(
         mode=mode,
-        oracle_budget=_budget_from_args(args),
+        oracle_budget=(OracleBudget() if args.budget is None
+                       else OracleBudget(max_vertices=args.budget)),
         keep_sets=getattr(args, "keep_sets", False),
     )
 
@@ -77,10 +65,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_chain(args) -> int:
-    instances = _load_corpus(args)
-    cfg = _config_from_args(args)
-    reports = sorted([analyze(inst, cfg) for inst in instances],
-                     key=lambda r: r.instance_id)
+    reports, _all_ok = verify_chain(_load_corpus(args), _config_from_args(args))
+    reports.sort(key=lambda r: r.instance_id)
     out = io.StringIO()
     _write_csv(reports, out)
     text = out.getvalue()
@@ -127,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force exact-rational (or float) LP mode; "
                             f"default: exact below {EXACT_VERTEX_LIMIT} vertices")
         p.add_argument("--budget", type=int, default=None,
-                       help="oracle vertex budget (env DISTDOM_BUDGET_VERTICES)")
+                       help="oracle vertex budget; default: "
+                            f"{OracleBudget().max_vertices} vertices")
 
     p = sub.add_parser("analyze", help="run the full pipeline on one graph")
     p.add_argument("graph")

@@ -1,7 +1,6 @@
 """Immutable simple undirected graphs with distance/ball queries and file I/O.
 
-Vertices are dense integer ids 0..n-1; an optional label table maps ids back
-to external names.  All other modules speak ids only.
+Vertices are dense integer ids 0..n-1.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ class Graph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
@@ -45,8 +43,6 @@ class Graph:
                     raise ValueError(f"self-loop at {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"adjacency not symmetric at {u},{v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label table length must equal n")
 
     @property
     def m(self) -> int:
@@ -56,8 +52,7 @@ class Graph:
         return len(self.adj[v])
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]],
-               labels: Iterable[str] | None = None) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph, collapsing duplicate edges; self-loops are rejected."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
@@ -67,8 +62,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"self-loop at {u}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj),
-                 tuple(labels) if labels is not None else None)
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj))
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
@@ -183,12 +177,11 @@ def _parse_json(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}", exc.lineno) from None
+    # keys other than 'n' and 'edges' (roles, orientation, ...) are ignored
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph must have 'n' and 'edges'")
-    labels = obj.get("labels")
     try:
-        return from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]],
-                          labels=labels)
+        return from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
     except (TypeError, ValueError) as exc:
         raise GraphParseError(str(exc)) from None
 
@@ -196,8 +189,6 @@ def _parse_json(text: str) -> Graph:
 def to_json(g: Graph, extra: dict | None = None) -> str:
     """Canonical JSON serialization (sorted edges, stable key order)."""
     obj: dict = {"n": g.n, "edges": edges(g)}
-    if g.labels is not None:
-        obj["labels"] = list(g.labels)
     if extra:
         obj.update(extra)
     return json.dumps(obj, separators=(",", ":"))

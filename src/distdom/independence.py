@@ -15,68 +15,64 @@ from .ordering import _peel
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Labeled edges; two edges may coincide as sets under distinct labels."""
+    """Edge i is edges[i]; two edges may coincide as sets."""
 
     nv: int
-    edges: tuple[tuple[int, frozenset], ...]  # (label, members)
+    edges: tuple[frozenset, ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.edges]
-        if len(set(labels)) != len(labels):
-            raise ValueError("edge labels must be distinct")
-        for lab, members in self.edges:
+        for i, members in enumerate(self.edges):
             if not members:
-                raise ValueError(f"edge {lab} is empty")
+                raise ValueError(f"edge {i} is empty")
             if any(not 0 <= v < self.nv for v in members):
-                raise ValueError(f"edge {lab} has out-of-range members")
+                raise ValueError(f"edge {i} has out-of-range members")
 
 
-def is_b_matching(h: Hypergraph, labels, b: int) -> bool:
-    labels = set(labels)
+def _vertex_counts(h: Hypergraph, selected) -> dict[int, int]:
+    """The number of selected edges at each vertex they touch."""
     counts: dict[int, int] = {}
-    for lab, members in h.edges:
-        if lab in labels:
-            for v in members:
-                counts[v] = counts.get(v, 0) + 1
-    return all(c <= b for c in counts.values())
+    for i in selected:
+        for v in h.edges[i]:
+            counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def is_b_matching(h: Hypergraph, selected, b: int) -> bool:
+    return all(c <= b for c in _vertex_counts(h, selected).values())
 
 
 def inneighbor_hypergraph(aug: Augmentation) -> Hypergraph:
-    """One edge per vertex u, labeled u: the inneighbors of u (u included
-    via its loop).  Every edge has size at most Delta_r."""
+    """Edge u holds the inneighbors of u (u included via its loop).  Every
+    edge has size at most Delta_r."""
     return Hypergraph(aug.n, tuple([
-        (u, frozenset(t for t, _rho in aug.in_arcs[u])) for u in range(aug.n)]))
+        frozenset([t for t, _rho in arcs]) for arcs in aug.in_arcs]))
 
 
 def matching_solution_from_packing(h: Hypergraph, y: LpSolution) -> LpSolution:
-    """Reindex a ball-packing optimum as a fractional 1-matching of the
+    """A ball-packing optimum read as a fractional 1-matching of the
     inneighbor hypergraph: m_{e_u} = y_u, feasible by construction."""
     if y.status != "optimal" or y.values is None:
         raise ValueError("need an optimal packing solution")
-    # the edges are labeled by the vertices, so the objective is y's own
-    values = tuple([y.values[lab] for lab, _m in h.edges])
-    return LpSolution("optimal", values, y.objective)
+    if len(y.values) != len(h.edges):
+        raise ValueError("need one packing value per edge")
+    return y
 
 
 def _greedy_extend(h: Hypergraph, k: int, selected: set) -> set:
-    counts: dict[int, int] = {}
-    for lab, members in h.edges:
-        if lab in selected:
-            for v in members:
-                counts[v] = counts.get(v, 0) + 1
-    for lab, members in sorted(h.edges):
-        if lab in selected:
+    counts = _vertex_counts(h, selected)
+    for i, members in enumerate(h.edges):
+        if i in selected:
             continue
         if all(counts.get(v, 0) < k for v in members):
-            selected.add(lab)
+            selected.add(i)
             for v in members:
                 counts[v] = counts.get(v, 0) + 1
     return selected
 
 
 def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> frozenset:
-    """Labels of a maximal k-matching M, from a feasible fractional
-    1-matching m: the edges with m_e >= 1/k, extended greedily.
+    """Indices of the edges of a maximal k-matching M, from a feasible
+    fractional 1-matching m: the edges with m_e >= 1/k, extended greedily.
 
     The threshold edges form a k-matching, since m puts at most 1 on the
     edges at a vertex.  The charging argument of Bansal and Umboh (IPL
@@ -94,7 +90,7 @@ def extract_kmatching(h: Hypergraph, k: int, m: LpSolution) -> frozenset:
     if m.status != "optimal" or m.values is None or len(m.values) != len(h.edges):
         raise ValueError("need an optimal fractional matching over h's edges")
     cut = threshold(m, k)
-    selected = {lab for (lab, _mem), val in zip(h.edges, m.values) if val >= cut}
+    selected = {i for i, val in enumerate(m.values) if val >= cut}
     selected = _greedy_extend(h, k, selected)
     assert is_b_matching(h, selected, k)
     return frozenset(selected)
@@ -157,7 +153,7 @@ def sparsify_to_independent(balls: list[VertexSet], y: VertexSet, b: int,
 
     # smallest-last coloring; indices follow ys, so ties go to the smallest id
     color: dict[int, int] = {}
-    for i in _peel(adj)[0]:
+    for i in _peel(adj):
         used = {color[j] for j in adj[i] if j in color}
         c = 0
         while c in used:

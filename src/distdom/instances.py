@@ -21,7 +21,7 @@ ROLE_APEX_PATH = "apex-path"
 class LabeledConstruction:
     graph: Graph
     roles: tuple[str, ...]
-    hyperedge_map: dict  # hyper-edge vertex id -> original edge label
+    hyperedge_map: dict  # hyper-edge vertex id -> index of its edge in h
     apex: int
     r: int
 
@@ -44,13 +44,9 @@ def build_h_r(h: Hypergraph, r: int) -> LabeledConstruction:
     if not h.edges:
         raise ValueError("hypergraph has no edges")
     roles: list[str] = [ROLE_HYPER_VERTEX] * h.nv
-    edge_vid: dict[int, int] = {}
-    hyperedge_map: dict[int, int] = {}
-    for lab, _members in h.edges:
-        vid = len(roles)
-        roles.append(ROLE_HYPER_EDGE)
-        edge_vid[lab] = vid
-        hyperedge_map[vid] = lab
+    # edge i of h becomes vertex h.nv + i
+    roles += [ROLE_HYPER_EDGE] * len(h.edges)
+    hyperedge_map = {h.nv + i: i for i in range(len(h.edges))}
 
     edges: list[tuple[int, int]] = []
 
@@ -64,9 +60,9 @@ def build_h_r(h: Hypergraph, r: int) -> LabeledConstruction:
         edges.append((prev, v))
 
     # incidence paths, in edge order then member order
-    for lab, members in h.edges:
+    for i, members in enumerate(h.edges):
         for v in sorted(members):
-            subdivided_path(v, edge_vid[lab], r - 1, ROLE_SUBDIVISION)
+            subdivided_path(v, h.nv + i, r - 1, ROLE_SUBDIVISION)
 
     # apex paths to every non-hypergraph vertex created so far
     targets = [v for v in range(len(roles)) if roles[v] not in (ROLE_HYPER_VERTEX,)]
@@ -100,8 +96,8 @@ def clique_hypergraph(n: int) -> Hypergraph:
     """All C(n,2) pair-edges of the complete graph on n vertices."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return Hypergraph(n, tuple(
-        (i, frozenset(pair)) for i, pair in enumerate(combinations(range(n), 2))))
+    return Hypergraph(n, tuple([frozenset(pair)
+                                for pair in combinations(range(n), 2)]))
 
 
 def covering_hard_hypergraph(n: int) -> Hypergraph:
@@ -111,8 +107,8 @@ def covering_hard_hypergraph(n: int) -> Hypergraph:
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
     subsets = list(combinations(range(1, n + 1), (n + 1) // 2))
-    edges = tuple((i - 1, frozenset(j for j, s in enumerate(subsets) if i in s))
-                  for i in range(1, n + 1))
+    edges = tuple([frozenset([j for j, s in enumerate(subsets) if i in s])
+                   for i in range(1, n + 1)])
     return Hypergraph(len(subsets), edges)
 
 

@@ -19,23 +19,17 @@ FLOAT_TOL = 1e-6  # slack when float sums or optima are compared
 @dataclass(frozen=True)
 class LinearProgram:
     """sense is "min" or "max"; constraints are (coeffs, rel, rhs) with
-    coeffs a sparse tuple of (var, coefficient) pairs and rel "<=" or ">=";
-    bounds[j] = (0, hi) with hi a number or None for +infinity."""
+    coeffs a sparse tuple of (var, coefficient) pairs and rel "<=" or ">=".
+    Every variable is nonnegative; an upper bound is a "<=" row."""
 
     sense: str
     objective: tuple
     constraints: tuple
-    bounds: tuple
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"bad sense {self.sense!r}")
         nvars = len(self.objective)
-        if len(self.bounds) != nvars:
-            raise ValueError("bounds length must match objective")
-        for lo, _hi in self.bounds:
-            if lo != 0:
-                raise ValueError("only lower bound 0 is supported")
         for coeffs, rel, _rhs in self.constraints:
             if not coeffs:
                 raise ValueError("empty constraint row")
@@ -55,8 +49,8 @@ class LpSolution:
     status: str  # optimal | unbounded
     values: tuple | None
     objective: object | None
-    # optimal dual: one value per constraint, then one per finite upper
-    # bound; sum(rhs_i * dual_i) over all of them equals the objective
+    # optimal dual: one value per constraint; sum(rhs_i * dual_i) equals
+    # the objective
     dual: tuple | None = None
 
 
@@ -65,8 +59,8 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     """Optimal basic solution and its dual via tableau simplex from the
     slack basis: Dantzig pricing, with Bland's anti-cycling rule after a
     run of degenerate pivots.  The slack basis must be feasible, so every
-    constraint must be a "<=" row with rhs >= 0 (finite upper bounds are
-    such rows too); any other LP raises ValueError.  Float mode uses
+    constraint must be a "<=" row with rhs >= 0; any other LP raises
+    ValueError.  Float mode uses
     tolerance FLOAT_EPS.  Exact-rational mode is fraction-free: each
     tableau row is a list of ints over one positive denominator, divided by
     their gcd after every elimination, so the pivots build no rationals; it
@@ -84,7 +78,7 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
     gcd = math.gcd
 
     nvars = lp.nvars
-    # dense rows; finite upper bounds become extra <= rows
+    # dense rows
     raw_rows: list[tuple[list, object]] = []
     for coeffs, rel, rhs in lp.constraints:
         if rel != "<=":
@@ -94,11 +88,6 @@ def solve(lp: LinearProgram, mode: str = "exact-rational",
         for j, c in coeffs:
             row[j] = row[j] + conv(c)
         raw_rows.append((row, conv(rhs)))
-    for j, (_lo, hi) in enumerate(lp.bounds):
-        if hi is not None:
-            row = [zero] * nvars
-            row[j] = one
-            raw_rows.append((row, conv(hi)))
     if any(rhs < zero for _row, rhs in raw_rows):
         raise ValueError("solve starts from the slack basis: "
                          "a negative right-hand side has no feasible slack")
@@ -276,7 +265,7 @@ def domination_lp(balls: Sequence[VertexSet]) -> LinearProgram:
     # collection empties them.
     rows = tuple([(tuple([(v, 1) for v in sorted(balls[c])]), ">=", 1)
                   for c in _ball_owners(balls)])
-    return LinearProgram("min", (1,) * n, rows, ((0, None),) * n)
+    return LinearProgram("min", (1,) * n, rows)
 
 
 def independence_lp(balls: Sequence[VertexSet]) -> LinearProgram:
@@ -285,7 +274,7 @@ def independence_lp(balls: Sequence[VertexSet]) -> LinearProgram:
     n = len(balls)
     rows = tuple([(tuple([(u, 1) for u in sorted(balls[c])]), "<=", 1)
                   for c in _ball_owners(balls)])
-    return LinearProgram("max", (1,) * n, rows, ((0, None),) * n)
+    return LinearProgram("max", (1,) * n, rows)
 
 
 def covering_from_packing(balls: Sequence[VertexSet],

@@ -85,14 +85,7 @@ def _max_ball_bounded(g: Graph, r: int, b: int, budget: OracleBudget,
     masks = ball_masks(g, r)
     # share[v]: the vertices other than v that share a ball with v, that is,
     # those within distance 2r of v
-    share = []
-    for v, ball_v in enumerate(masks):
-        acc = 0
-        m = ball_v
-        while m:
-            acc |= masks[(m & -m).bit_length() - 1]
-            m &= m - 1
-        share.append(acc & ~(1 << v))
+    share = [ball_v & ~(1 << v) for v, ball_v in enumerate(ball_masks(g, 2 * r))]
     counts = [0] * g.n
     best = [0, 0]
     nodes = [0]
@@ -154,9 +147,7 @@ def brute_alpha_2rb(g: Graph, r: int, b: int,
 def brute_wcol(g: Graph, k: int,
                budget: OracleBudget = DEFAULT_BUDGET) -> OracleResult:
     """Exact weak k-coloring number by exhausting all vertex orderings."""
-    if g.n > budget.max_vertices:
-        raise BudgetExceeded(
-            f"brute_wcol: {g.n} vertices exceed budget {budget.max_vertices}")
+    _check_vertices(g, budget, "brute_wcol")
     if math.factorial(g.n) > budget.max_nodes:
         raise BudgetExceeded(
             f"brute_wcol: {g.n}! orderings exceed node budget {budget.max_nodes}")

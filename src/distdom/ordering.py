@@ -121,11 +121,6 @@ def wcol_of_ordering(g: Graph, ordering: Ordering, k: int) -> int:
     return weak_reach(g, ordering, k).wcol(k)
 
 
-def degeneracy(g: Graph) -> int:
-    """Max over the peeling process of the minimum remaining degree."""
-    return _peel(g.adj)[1]
-
-
 def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
     """Orderings to feed the augmentation builder.
 
@@ -134,7 +129,7 @@ def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
     degree, largest first.  input-order: the identity.
     """
     if strategy == "degeneracy":
-        return Ordering.from_rank_sequence(_peel(g.adj)[0])
+        return Ordering.from_rank_sequence(_peel(g.adj))
     if strategy == "descending-degree":
         seq = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         return Ordering.from_rank_sequence(seq)
@@ -143,10 +138,10 @@ def heuristic_ordering(g: Graph, strategy: str = "degeneracy") -> Ordering:
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
-def _peel(adj) -> tuple[list[int], int]:
+def _peel(adj) -> list[int]:
     """Smallest-last peeling of the graph on 0..len(adj)-1 with adjacency
     adj: repeatedly remove a vertex of minimum remaining degree, ties to
-    the smallest id.  Returns (ordering front-to-back, degeneracy).
+    the smallest id.  Returns the ordering front-to-back.
 
     A heap of (degree, id) entries with lazy deletion: a vertex gets a new
     entry whenever its degree drops, and popped entries of removed
@@ -161,12 +156,10 @@ def _peel(adj) -> tuple[list[int], int]:
     heap = [(dv, v) for v, dv in enumerate(deg)]
     heapq.heapify(heap)
     tail: list[int] = []
-    d = 0
     while heap:
-        dv, v = heapq.heappop(heap)
+        _dv, v = heapq.heappop(heap)
         if not alive[v]:
             continue
-        d = max(d, dv)
         alive[v] = False
         tail.append(v)
         for w in adj[v]:
@@ -174,4 +167,4 @@ def _peel(adj) -> tuple[list[int], int]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
     tail.reverse()
-    return tail, d
+    return tail

@@ -128,9 +128,8 @@ def reference_verify_augmentation(g: Graph, aug: Augmentation) -> AugmentationRe
 
 
 def reference_indegree_profile(aug: Augmentation) -> IndegreeProfile:
-    deg = []
+    delta = []
     for rp in range(aug.r + 1):
-        deg.append(tuple([sum(1 for _, rho in arcs if rho <= rp)
-                          for arcs in aug.in_arcs]))
-    delta = tuple([max(row) if row else 1 for row in deg])
-    return IndegreeProfile(aug.r, tuple(deg), delta)
+        deg = [sum(1 for _, rho in arcs if rho <= rp) for arcs in aug.in_arcs]
+        delta.append(max(deg) if deg else 1)
+    return IndegreeProfile(aug.r, tuple(delta))

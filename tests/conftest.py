@@ -80,5 +80,5 @@ def grid33():
 @pytest.fixture
 def triangle_hypergraph():
     from distdom.independence import Hypergraph
-    return Hypergraph(3, ((0, frozenset({0, 1})), (1, frozenset({1, 2})),
-                          (2, frozenset({0, 2}))))
+    return Hypergraph(3, (frozenset({0, 1}), frozenset({1, 2}),
+                          frozenset({0, 2})))

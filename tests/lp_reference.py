@@ -3,7 +3,9 @@ lost its phase 1: one two-phase tableau of exact rationals
 (fractions.Fraction) or of floats, dense eliminations.  Kept as the
 reference that distdom.lp.solve must match pivot for pivot, and as the
 solver of LPs that solve cannot start, such as the covering LP.  Also the
-b-matching LP builder, which only the tests use."""
+b-matching LP builder, which only the tests use.  Variables are
+nonnegative; an upper bound x_j <= hi is a "<=" row, which bmatching_lp
+and the LPs of tests/test_lp.py place after the other rows."""
 from __future__ import annotations
 
 from fractions import Fraction as ratio
@@ -25,18 +27,13 @@ def reference_solve(lp: LinearProgram, mode: str = "exact-rational",
     zero, one = conv(0), conv(1)
 
     nvars = lp.nvars
-    # dense rows; finite upper bounds become extra <= rows
+    # dense rows
     raw_rows: list[tuple[list, str, object]] = []
     for coeffs, rel, rhs in lp.constraints:
         row = [zero] * nvars
         for j, c in coeffs:
             row[j] = row[j] + conv(c)
         raw_rows.append((row, rel, conv(rhs)))
-    for j, (_lo, hi) in enumerate(lp.bounds):
-        if hi is not None:
-            row = [zero] * nvars
-            row[j] = one
-            raw_rows.append((row, "<=", conv(hi)))
 
     m = len(raw_rows)
     nslack = m
@@ -181,15 +178,17 @@ def reference_solve(lp: LinearProgram, mode: str = "exact-rational",
 def bmatching_lp(h, b: int) -> LinearProgram:
     """max sum m_e subject to sum_{e containing v} m_e <= b, 0 <= m_e <= 1.
 
-    Variables follow the hypergraph's edge order.
+    Variable j is edge j of the hypergraph.  The rows m_e <= 1 come after
+    the vertex rows.
     """
     if b < 1:
         raise ValueError("b must be positive")
     ne = len(h.edges)
     incident: dict[int, list[int]] = {}
-    for j, (_label, members) in enumerate(h.edges):
+    for j, members in enumerate(h.edges):
         for v in members:
             incident.setdefault(v, []).append(j)
-    rows = tuple([(tuple([(j, 1) for j in js]), "<=", b)
-                  for _v, js in sorted(incident.items())])
-    return LinearProgram("max", (1,) * ne, rows, ((0, 1),) * ne)
+    rows = [(tuple([(j, 1) for j in js]), "<=", b)
+            for _v, js in sorted(incident.items())]
+    rows += [(((j, 1),), "<=", 1) for j in range(ne)]
+    return LinearProgram("max", (1,) * ne, tuple(rows))

@@ -27,11 +27,11 @@ def brute_bmatching(h: Hypergraph, b: int,
             best[0], best[1] = len(chosen), frozenset(chosen)
         if j == ne or len(chosen) + (ne - j) <= best[0]:
             return
-        lab, members = h.edges[j]
+        members = h.edges[j]
         if all(counts.get(v, 0) < b for v in members):
             for v in members:
                 counts[v] = counts.get(v, 0) + 1
-            chosen.append(lab)
+            chosen.append(j)
             rec(j + 1)
             chosen.pop()
             for v in members:

@@ -311,11 +311,11 @@ def test_cli_verify_chain_empty_dir(tmp_path):
     assert err == f"distdom: error: no .json graphs found in {empty}\n"
 
 
-def test_cli_budget_env_override(tmp_path, monkeypatch, cycle5):
+def test_cli_budget_flag(tmp_path, cycle5):
+    # a budget below n skips the oracles
     path = tmp_path / "c5.json"
     path.write_text(to_json(cycle5))
-    monkeypatch.setenv("DISTDOM_BUDGET_VERTICES", "1")
-    code, out, _ = _run(["analyze", str(path)])
+    code, out, _ = _run(["analyze", str(path), "--budget", "1"])
     assert code == 0
     assert json.loads(out)["oracle_gamma"] == ""
 
@@ -349,18 +349,15 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["r0", "negative-n", "budget-env",
-                                  "covering-hard-even", "missing-file"])
-def test_cli_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, path3, case):
+@pytest.mark.parametrize("case", ["r0", "negative-n", "covering-hard-even",
+                                  "missing-file"])
+def test_cli_bad_input_is_one_line_exit_2(tmp_path, path3, case):
     graph = _write(tmp_path, "p3.json", to_json(path3))
     if case == "r0":
         argv, expect = ["analyze", graph, "--r", "0"], "r must be positive"
     elif case == "negative-n":
         argv = ["analyze", _write(tmp_path, "neg.col", "p edge -2 0\n")]
         expect = "line 1: negative vertex count"
-    elif case == "budget-env":
-        monkeypatch.setenv("DISTDOM_BUDGET_VERTICES", "x")
-        argv, expect = ["analyze", graph], "DISTDOM_BUDGET_VERTICES"
     elif case == "covering-hard-even":
         argv = ["generate", "covering-hard", "--n", "4"]
         expect = "n must be odd"

@@ -81,6 +81,15 @@ def test_json_round_trip_k4(k4):
     assert parse_graph(to_json(k4), "json").adj == k4.adj
 
 
+def test_json_extra_keys_are_ignored(k4):
+    # labels (here of the wrong length), roles and orientation are not
+    # part of the graph
+    extra = {"labels": ["a", "b"], "roles": ["x"] * 4,
+             "orientation": [[0, 1], [2, 3]]}
+    plain = parse_graph(to_json(k4), "json")
+    assert parse_graph(to_json(k4, extra), "json") == plain == k4
+
+
 def test_from_edges_rejects_self_loop():
     with pytest.raises(ValueError):
         from_edges(2, [(1, 1)])

@@ -34,7 +34,7 @@ def test_inneighbor_hypergraph_path(path3):
     aug = augment_from_ordering(path3, heuristic_ordering(path3), 1)
     h = inneighbor_hypergraph(aug)
     assert h.nv == 3 and len(h.edges) == 3
-    for u, members in h.edges:
+    for u, members in enumerate(h.edges):
         assert u in members
         assert members == {t for t, _rho in aug.in_arcs[u]}
 
@@ -47,12 +47,18 @@ def test_is_b_matching_triangle(triangle_hypergraph):
 
 def test_matching_reindex(triangle_hypergraph):
     y = LpSolution("optimal", (ratio(1, 2),) * 3, ratio(3, 2))
-    m = matching_solution_from_packing(
-        Hypergraph(3, tuple((lab, mem) for lab, mem in triangle_hypergraph.edges)), y)
-    assert m.objective == ratio(3, 2)
+    m = matching_solution_from_packing(triangle_hypergraph, y)
+    assert m.values == y.values and m.objective == ratio(3, 2)
     with pytest.raises(ValueError):
         matching_solution_from_packing(triangle_hypergraph,
                                        LpSolution("infeasible", None, None))
+
+
+@pytest.mark.parametrize("nvalues", [2, 4])
+def test_matching_needs_one_value_per_edge(triangle_hypergraph, nvalues):
+    y = LpSolution("optimal", (ratio(1, 2),) * nvalues, ratio(nvalues, 2))
+    with pytest.raises(ValueError, match="one packing value per edge"):
+        matching_solution_from_packing(triangle_hypergraph, y)
 
 
 def test_matching_reindex_keeps_float_optimum():
@@ -88,7 +94,7 @@ def small_edge_hypergraphs(draw):
     k = draw(st.integers(1, 3))
     edges = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=1,
                                   max_size=k), max_size=12))
-    return Hypergraph(nv, tuple([(j, frozenset(e)) for j, e in enumerate(edges)])), k
+    return Hypergraph(nv, tuple([frozenset(e) for e in edges])), k
 
 
 @given(small_edge_hypergraphs())
@@ -99,8 +105,8 @@ def test_maximal_kmatching_has_half_the_fractional_optimum(hk):
     chosen = extract_kmatching(h, k, m)
     assert is_b_matching(h, chosen, k)
     # maximal: no further edge fits
-    for lab, _members in h.edges:
-        assert lab in chosen or not is_b_matching(h, chosen | {lab}, k)
+    for j in range(len(h.edges)):
+        assert j in chosen or not is_b_matching(h, chosen | {j}, k)
     assert 2 * len(chosen) >= m.objective
 
 
@@ -161,12 +167,10 @@ def test_conflict_adjacency_is_distance_2r(g, data, r):
 
 
 def test_hypergraph_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        Hypergraph(2, ((0, frozenset({0})), (0, frozenset({1}))))
     with pytest.raises(ValueError, match="empty"):
-        Hypergraph(2, ((0, frozenset()),))
+        Hypergraph(2, (frozenset({0}), frozenset()))
     with pytest.raises(ValueError, match="range"):
-        Hypergraph(2, ((0, frozenset({5})),))
+        Hypergraph(2, (frozenset({5}),))
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))

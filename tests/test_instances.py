@@ -13,7 +13,7 @@ from distdom.ordering import wcol_of_ordering
 def test_clique_hypergraph_counts():
     h = clique_hypergraph(4)
     assert h.nv == 4 and len(h.edges) == 6
-    assert all(len(m) == 2 for _lab, m in h.edges)
+    assert all(len(m) == 2 for m in h.edges)
 
 
 def test_covering_hard_n5():
@@ -21,11 +21,11 @@ def test_covering_hard_n5():
     # C(4,2) = 6
     h = covering_hard_hypergraph(5)
     assert h.nv == 10 and len(h.edges) == 5
-    assert all(len(m) == 6 for _lab, m in h.edges)
+    assert all(len(m) == 6 for m in h.edges)
     # any two edges leave subsets avoiding both indices uncovered
     for i in range(5):
         for j in range(i + 1, 5):
-            covered = h.edges[i][1] | h.edges[j][1]
+            covered = h.edges[i] | h.edges[j]
             assert len(covered) < h.nv
 
 
@@ -56,8 +56,8 @@ def test_construction_distances(n, r):
     c = build_h_r(clique_hypergraph(n), r)
     g = c.graph
     # hypergraph vertices sharing an edge sit at distance exactly 2r
-    for ev, lab in c.hyperedge_map.items():
-        members = sorted(dict(clique_hypergraph(n).edges)[lab])
+    for ev, i in c.hyperedge_map.items():
+        members = sorted(clique_hypergraph(n).edges[i])
         for v in members:
             assert distance(g, v, ev) == r
         assert distance(g, members[0], members[1]) == 2 * r

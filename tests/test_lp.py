@@ -23,7 +23,7 @@ def clique(n):
 
 
 def test_trivial_bounded_max():
-    prog = LinearProgram("max", (1,), ((((0, 1),), "<=", 1),), ((0, None),))
+    prog = LinearProgram("max", (1,), ((((0, 1),), "<=", 1),))
     assert solve(prog).objective == 1
 
 
@@ -39,7 +39,7 @@ def test_triangle_hypergraph_fractional_matching(triangle_hypergraph):
 
 
 def test_single_edge_matching():
-    h = Hypergraph(1, ((0, frozenset({0})),))
+    h = Hypergraph(1, (frozenset({0}),))
     assert solve(bmatching_lp(h, 1)).objective == 1
 
 
@@ -69,7 +69,7 @@ def test_clique_construction_lp_window(n, r):
 
 
 def test_unbounded_status():
-    prog = LinearProgram("max", (1,), ((((0, -1),), "<=", 0),), ((0, None),))
+    prog = LinearProgram("max", (1,), ((((0, -1),), "<=", 0),))
     assert solve(prog).status == "unbounded"
     assert solve(prog, "float").status == "unbounded"
 
@@ -143,7 +143,7 @@ def test_kmatching_scaling_property(triangle_hypergraph):
     m = solve(bmatching_lp(h, 1)).values
     scaled = [k * v if v <= ratio(1, k) else 0 for v in m]
     counts = {}
-    for (label, members), v in zip(h.edges, scaled):
+    for members, v in zip(h.edges, scaled):
         assert 0 <= v <= 1
         for w in members:
             counts[w] = counts.get(w, 0) + v
@@ -163,9 +163,9 @@ def test_dedup_keeps_optimum():
 
 def test_rejects_malformed_programs():
     with pytest.raises(ValueError):
-        LinearProgram("max", (1,), (((), "<=", 1),), ((0, None),))
+        LinearProgram("max", (1,), (((), "<=", 1),))
     with pytest.raises(ValueError):
-        LinearProgram("max", (1,), ((((3, 1),), "<=", 1),), ((0, None),))
+        LinearProgram("max", (1,), ((((3, 1),), "<=", 1),))
     with pytest.raises(ValueError):
         solve(independence_lp(all_balls(from_edges(1, []), 1)), "nope")
 
@@ -223,7 +223,8 @@ _nonnegative = st.one_of(st.integers(0, 3),
 def linear_programs(draw):
     """Small LPs of either sense with <= rows, negative and fractional
     coefficients, right-hand sides >= 0, repeated variables in a row and
-    upper bounds: the LPs solve can start from the slack basis."""
+    upper bounds x_j <= hi as rows after the others: the LPs solve can
+    start from the slack basis."""
     nvars = draw(st.integers(1, 4))
     constraints = []
     for _ in range(draw(st.integers(1, 4))):
@@ -231,22 +232,23 @@ def linear_programs(draw):
             st.tuples(st.integers(0, nvars - 1), _numbers),
             min_size=1, max_size=nvars + 1)))
         constraints.append((coeffs, "<=", draw(_nonnegative)))
-    bounds = tuple((0, draw(st.one_of(st.none(), st.integers(0, 3),
-                                      st.fractions(0, 3, max_denominator=3))))
-                   for _ in range(nvars))
+    for j in range(nvars):
+        hi = draw(st.one_of(st.none(), st.integers(0, 3),
+                            st.fractions(0, 3, max_denominator=3)))
+        if hi is not None:
+            constraints.append((((j, 1),), "<=", hi))
     objective = tuple(draw(_numbers) for _ in range(nvars))
     return LinearProgram(draw(st.sampled_from(["min", "max"])), objective,
-                         tuple(constraints), bounds)
+                         tuple(constraints))
 
 
-_INFEASIBLE = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), "<=", -1),),
-                            ((0, None),) * 2)
-_COVERING = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), ">=", 1),),
-                          ((0, None),) * 2)
-_NEGATIVE_BOUND = LinearProgram("max", (1,), ((((0, 1),), "<=", 1),),
-                                ((0, -1),))
+_INFEASIBLE = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), "<=", -1),))
+_COVERING = LinearProgram("min", (1, 1), ((((0, 1), (1, 1)), ">=", 1),))
+# an upper bound x_0 <= -1, written as a row after the others
+_NEGATIVE_BOUND = LinearProgram("max", (1,), ((((0, 1),), "<=", 1),
+                                              (((0, 1),), "<=", -1)))
 _UNBOUNDED = LinearProgram("max", (1, Fraction(-1, 2)),
-                           ((((0, 1), (1, -2)), "<=", 3),), ((0, None),) * 2)
+                           ((((0, 1), (1, -2)), "<=", 3),))
 
 
 @given(linear_programs(), st.sampled_from(["exact-rational", "float"]))
@@ -276,14 +278,12 @@ def test_rejects_lp_without_slack_start(prog, mode):
 def test_dual_certifies_optimum(prog):
     # maximizing s * objective (s = -1 for min), w = s * dual is a feasible
     # dual of that max LP with the same value: w >= 0, every column of
-    # [A; I_bounded]^T w is at least s * c_j, and rhs . w = s * optimum
+    # A^T w is at least s * c_j, and rhs . w = s * optimum
     sol = solve(prog)
     if sol.status != "optimal":
         return
     s = 1 if prog.sense == "max" else -1
     rows = [(coeffs, rhs) for coeffs, _rel, rhs in prog.constraints]
-    rows += [(((j, 1),), hi) for j, (_lo, hi) in enumerate(prog.bounds)
-             if hi is not None]
     assert len(sol.dual) == len(rows)
     w = [s * z for z in sol.dual]
     assert all(wi >= 0 for wi in w)

@@ -119,7 +119,7 @@ def test_alpha_oracles_match_ball_bmatching(g, r, b):
     # a (2r,b)-independent set is a b-matching of the hypergraph whose
     # edge v holds the balls that contain v: N_r[v], by symmetry
     balls = all_balls(g, r)
-    h = Hypergraph(g.n, tuple([(v, ball_v) for v, ball_v in enumerate(balls)]))
+    h = Hypergraph(g.n, tuple(balls))
     for bb, (value, witness) in [(b, brute_alpha_2rb(g, r, b)),
                                  (1, brute_alpha_2r(g, r))]:
         assert value == brute_bmatching(h, bb).value
