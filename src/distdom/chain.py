@@ -181,7 +181,6 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     t0 = time.perf_counter()
     ordering = heuristic_ordering(g)
     profile = weak_reach(g, ordering, 2 * r)
-    wcols = tuple([profile.wcol(kk) for kk in range(2 * r + 1)])
     if inst.orientation is not None and r == 1:
         aug_r = orientation_augmentation(g, inst.orientation)
         aug_from_ordering = False
@@ -209,7 +208,10 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
     # its dual, certified against every ball
     t0 = time.perf_counter()
     balls = all_balls(g, r)
-    sol_y = lp.solve(lp.independence_lp(balls), mode)
+    try:
+        sol_y = lp.solve(lp.independence_lp(balls), mode)
+    except RuntimeError as exc:  # the pivot limit: name instance and stage
+        raise RuntimeError(f"{inst.id}: lp: {exc}") from exc
     sol_x = lp.covering_from_packing(balls, sol_y)
     lp_certified = lp.certify(balls, sol_x, sol_y)
     stage("lp")
@@ -240,7 +242,7 @@ def analyze(inst: CorpusInstance, cfg: AnalyzeConfig = AnalyzeConfig()) -> Chain
 
     return ChainReport(
         instance_id=inst.id, n=g.n, m=g.m, r=r,
-        wcols=wcols, delta_r=prof_r.delta, delta_2r=prof_2r.delta,
+        wcols=profile.wcols, delta_r=prof_r.delta, delta_2r=prof_2r.delta,
         b=b, k=k, d=d,
         gamma_star=sol_x.objective, alpha_star=sol_y.objective,
         xn_size=len(dom.vertices), x0_size=dom.x0_size,

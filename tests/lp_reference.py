@@ -15,9 +15,9 @@ from distdom.lp import FLOAT_EPS, LinearProgram, LpSolution
 
 def reference_solve(lp: LinearProgram, mode: str = "exact-rational",
                     max_pivots: int = 200_000) -> LpSolution:
-    """Optimal basic solution via two-phase tableau simplex with Bland's
-    anti-cycling rule.  Exact-rational mode pivots on arbitrary-precision
-    rationals; float mode uses tolerance FLOAT_EPS."""
+    """Optimal basic solution and its dual via two-phase tableau simplex
+    with Bland's anti-cycling rule.  Exact-rational mode pivots on
+    arbitrary-precision rationals; float mode uses tolerance FLOAT_EPS."""
     if mode in ("exact-rational", "exact"):
         conv, tol = lambda v: ratio(v), ratio(0)
     elif mode == "float":
@@ -172,7 +172,11 @@ def reference_solve(lp: LinearProgram, mode: str = "exact-rational",
         if b < nvars:
             values[b] = rows[i][ncols]
     objective = sum(conv(c) * values[j] for j, c in enumerate(lp.objective))
-    return LpSolution("optimal", tuple(values), objective)
+    # the dual value of constraint i is the reduced cost of its slack
+    # column nvars + i, negated for a ">=" row (the slack enters with -1)
+    dual = [sign * obj[nvars + i] if rel == "<=" else -sign * obj[nvars + i]
+            for i, (_coeffs, rel, _rhs) in enumerate(lp.constraints)]
+    return LpSolution("optimal", tuple(values), objective, tuple(dual))
 
 
 def bmatching_lp(h, b: int) -> LinearProgram:

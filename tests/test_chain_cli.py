@@ -223,7 +223,8 @@ def test_stage_that_cannot_finish_exits_3(tmp_path, monkeypatch, cycle5):
     path.write_text(to_json(cycle5))
     code, out, err = _run(["analyze", str(path)])
     assert code == 3 and out == ""
-    assert err == "distdom: could not compute: simplex pivot limit exceeded\n"
+    assert err == ("distdom: could not compute: "
+                   "c5.json: lp: simplex pivot limit exceeded\n")
 
 
 def test_float_grid_4x40_r2(tmp_path):

@@ -8,7 +8,8 @@ from distdom.augment import augment_from_ordering
 from distdom.chain import default_corpus
 from distdom.graph import all_balls, from_edges
 from distdom.independence import Hypergraph, inneighbor_hypergraph
-from distdom.instances import build_h_r, clique_hypergraph, grid_graph
+from distdom.instances import (build_h_r, clique_hypergraph, grid_graph,
+                               random_degenerate_graph)
 from distdom.lp import (FLOAT_EPS, FLOAT_TOL, LinearProgram, LpSolution,
                         certify, covering_from_packing, domination_lp,
                         independence_lp, ratio, solve, threshold, tolerance)
@@ -89,7 +90,9 @@ def test_strong_duality(g, r):
     x = covering_from_packing(all_balls(g, r), packing)
     assert packing.status == x.status == "optimal"
     assert x.objective == packing.objective == sum(packing.dual)
-    assert x.objective == reference_solve(domination_lp(all_balls(g, r))).objective
+    ref = reference_solve(domination_lp(all_balls(g, r)))
+    assert x.objective == ref.objective == sum(ref.dual)
+    assert all(z >= 0 for z in ref.dual)
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(1, 2))
@@ -208,6 +211,11 @@ def _assert_same_as_reference(prog, mode):
     assert got.objective == ref.objective
     if got.values is not None:
         assert [type(v) for v in got.values] == [type(v) for v in ref.values]
+    # the duals, from which X_n is read, match as well: floats bit for bit
+    if mode == "float" and got.dual is not None:
+        assert [z.hex() for z in got.dual] == [z.hex() for z in ref.dual]
+    else:
+        assert got.dual == ref.dual
     if pivots:
         with pytest.raises(RuntimeError, match="pivot limit"):
             reference_solve(prog, mode, max_pivots=pivots - 1)
@@ -308,9 +316,23 @@ def test_builders_match_reference_on_corpus(inst):
 
 
 def test_float_mode_bit_identical_to_reference():
-    g = grid_graph(2, 30)
-    prog = independence_lp(all_balls(g, 1))
-    got, ref = solve(prog, "float"), reference_solve(prog, "float")
-    assert got.status == ref.status == "optimal"
-    assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]
-    assert got.objective.hex() == ref.objective.hex()
+    # the tableau of a 2 x cols ladder fills in as it pivots
+    for cols in (30, 60):
+        prog = independence_lp(all_balls(grid_graph(2, cols), 1))
+        got, ref = solve(prog, "float"), reference_solve(prog, "float")
+        assert got.status == ref.status == "optimal"
+        assert [v.hex() for v in got.values] == [v.hex() for v in ref.values]
+        assert [z.hex() for z in got.dual] == [z.hex() for z in ref.dual]
+        assert got.objective.hex() == ref.objective.hex()
+
+
+@given(st.integers(1, 40), st.integers(1, 2), st.integers(0, 10 ** 6),
+       st.integers(1, 2), st.sampled_from(["exact-rational", "float"]))
+@example(40, 2, 1, 1, "exact-rational")
+@example(40, 2, 1, 2, "float")
+@settings(max_examples=40, deadline=None)
+def test_ball_packing_matches_reference(n, d, seed, r, mode):
+    # the LPs analyze solves, with many rows per column: pivot for pivot,
+    # same values and the same duals
+    g, _orientation = random_degenerate_graph(n, d, seed)
+    _assert_same_as_reference(independence_lp(all_balls(g, r)), mode)
